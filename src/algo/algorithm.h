@@ -21,6 +21,7 @@
 // W_t. Rounds are numbered from t = 1.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -46,6 +47,15 @@ namespace antalloc {
 // signal that makes every automaton in this library vacate a task — so any
 // algorithm that only joins on lack and leaves on overload handles task
 // death with no extra per-ant state. The default mask is all-active.
+//
+// Stream: cell (ant, j) draws from Xoshiro256(hash_words(seed, t, ant, j)).
+// The constructor hoists what does not depend on the ant: the round key
+// hash_combine(seed, t), each task's hash_key_term(j) and, for models that
+// sample the marginal (FeedbackModel::samples_marginal), each task's lack
+// probability. A cell then costs one mix for its seed plus, on the marginal
+// path, one SplitMix64 step for the generator's first uniform — the same
+// bits the full derivation produces (docs/ARCHITECTURE.md, "RNG stream
+// policy").
 class FeedbackAccess {
  public:
   FeedbackAccess(FeedbackModel& fm, Round t, std::span<const double> deficits,
@@ -55,8 +65,21 @@ class FeedbackAccess {
         t_(t),
         deficits_(deficits),
         demands_(demands),
-        seed_(seed),
-        active_mask_(active_mask) {}
+        active_mask_(active_mask),
+        round_key_(rng::hash_combine(seed, static_cast<std::uint64_t>(t))),
+        samples_marginal_(fm.samples_marginal()) {
+    if (deficits.size() > static_cast<std::size_t>(kMaxAgentTasks)) {
+      throw std::invalid_argument("FeedbackAccess: k exceeds kMaxAgentTasks");
+    }
+    for (TaskId j = 0; j < num_tasks(); ++j) {
+      const auto ju = static_cast<std::size_t>(j);
+      task_key_[ju] = rng::hash_key_term(static_cast<std::uint64_t>(j));
+      if (samples_marginal_) {
+        lack_p_[ju] = fm.lack_probability(t, j, deficits[ju],
+                                          static_cast<double>(demands[ju]));
+      }
+    }
+  }
 
   std::int32_t num_tasks() const {
     return static_cast<std::int32_t>(deficits_.size());
@@ -74,7 +97,8 @@ class FeedbackAccess {
 
   Feedback sample(std::int64_t ant, TaskId j) const {
     if (!active(j)) return Feedback::kOverload;
-    return sample_unmasked(ant, j);
+    return lack_unmasked(ant, ant_key(ant), j) ? Feedback::kLack
+                                               : Feedback::kOverload;
   }
 
   // Bitmask of tasks whose feedback for `ant` is lack (bit j set = lack).
@@ -82,32 +106,44 @@ class FeedbackAccess {
   // keeping the per-task sampling loop branch-free (this is the agent
   // engine's hottest path — see bench_perf_engines BM_AgentAntRound).
   std::uint64_t sample_lack_mask(std::int64_t ant) const {
+    const std::uint64_t key = ant_key(ant);
     std::uint64_t mask = 0;
     for (TaskId j = 0; j < num_tasks(); ++j) {
-      if (sample_unmasked(ant, j) == Feedback::kLack) mask |= (1ull << j);
+      mask |= static_cast<std::uint64_t>(lack_unmasked(ant, key, j)) << j;
     }
     return mask & active_mask_;
   }
 
  private:
+  // hash_words(seed, t, ant) — the per-ant prefix of every cell seed.
+  std::uint64_t ant_key(std::int64_t ant) const {
+    return rng::hash_combine(round_key_, static_cast<std::uint64_t>(ant));
+  }
+
   // The raw draw, ignoring the lifecycle mask. Callers must mask the result
   // (sample / sample_lack_mask do); for a dormant task it burns one discarded
   // draw, which only lifecycle runs ever pay.
-  Feedback sample_unmasked(std::int64_t ant, TaskId j) const {
+  bool lack_unmasked(std::int64_t ant, std::uint64_t key, TaskId j) const {
     const auto ju = static_cast<std::size_t>(j);
-    rng::Xoshiro256 gen(rng::hash_words(seed_, static_cast<std::uint64_t>(t_),
-                                        static_cast<std::uint64_t>(ant),
-                                        static_cast<std::uint64_t>(j)));
+    const std::uint64_t cell = rng::hash_combine_term(key, task_key_[ju]);
+    if (samples_marginal_) {
+      return rng::Xoshiro256::first_uniform(cell) < lack_p_[ju];
+    }
+    rng::Xoshiro256 gen(cell);
     return fm_.sample(t_, j, ant, deficits_[ju],
-                      static_cast<double>(demands_[ju]), gen);
+                      static_cast<double>(demands_[ju]),
+                      gen) == Feedback::kLack;
   }
 
   FeedbackModel& fm_;
   Round t_;
   std::span<const double> deficits_;
   std::span<const Count> demands_;
-  std::uint64_t seed_;
   std::uint64_t active_mask_;
+  std::uint64_t round_key_;  // hash_combine(seed, t)
+  bool samples_marginal_;
+  std::array<std::uint64_t, kMaxAgentTasks> task_key_{};  // hash_key_term(j)
+  std::array<double, kMaxAgentTasks> lack_p_{};  // marginal models only
 };
 
 class BatchedAgentRunner;  // algo/batched.h

@@ -96,9 +96,13 @@ void PreciseAdversarialAgent::step(Round t, const FeedbackAccess& fb,
       }
     }
 
-    rng::Xoshiro256 gen(rng::hash_words(seed_ ^ 0xADF1u,
-                                        static_cast<std::uint64_t>(t),
-                                        static_cast<std::uint64_t>(i)));
+    // This ant's per-round generator, built only by the branches that draw
+    // from it (each draws once).
+    const auto ant_gen = [&] {
+      return rng::Xoshiro256(rng::hash_words(seed_ ^ 0xADF1u,
+                                             static_cast<std::uint64_t>(t),
+                                             static_cast<std::uint64_t>(i)));
+    };
 
     // --- Assignment update by sub-phase position. Rounds that don't move
     // this ant carry the previous assignment through unchanged.
@@ -110,7 +114,7 @@ void PreciseAdversarialAgent::step(Round t, const FeedbackAccess& fb,
         if (mask == 0) {
           out = kIdle;
         } else {
-          const int pick = static_cast<int>(gen.uniform_below(
+          const int pick = static_cast<int>(ant_gen().uniform_below(
               static_cast<std::uint64_t>(std::popcount(mask))));
           out = static_cast<TaskId>(nth_set_bit(mask, pick));
         }
@@ -118,7 +122,7 @@ void PreciseAdversarialAgent::step(Round t, const FeedbackAccess& fb,
     } else if (r >= 2 && r < r1) {
       // Cumulative thinning sweep.
       if (pause_round_[iu] == kNeverPaused &&
-          gen.bernoulli(params_.pause_probability())) {
+          ant_gen().bernoulli(params_.pause_probability())) {
         pause_round_[iu] = r;
       }
       out = pause_round_[iu] == kNeverPaused ? ct : kIdle;
@@ -129,7 +133,7 @@ void PreciseAdversarialAgent::step(Round t, const FeedbackAccess& fb,
     } else if (r == 0) {
       // End of phase: resume, unless leaving after an all-overload phase.
       const bool leave = all_over_[iu] != 0 &&
-                         gen.bernoulli(params_.leave_probability());
+                         ant_gen().bernoulli(params_.leave_probability());
       out = leave ? kIdle : ct;
     }
     // r in [r1+1, r1+r2-1]: keep the frozen assignment (out == prev).

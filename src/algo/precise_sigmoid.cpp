@@ -98,11 +98,10 @@ void PreciseSigmoidAgent::accumulate(const FeedbackAccess& fb, Count n_ants) {
     const TaskId ct = current_task_[static_cast<std::size_t>(i)];
     if (ct == kIdle) {
       // Idle ants need the median for every active task (join rule);
-      // dormant tasks would sample unconditional overload anyway.
-      for (TaskId j = 0; j < k_; ++j) {
-        if (fb.active(j) && fb.sample(i, j) == Feedback::kLack) {
-          ++lack_count(i, j);
-        }
+      // dormant tasks are masked to overload.
+      for (std::uint64_t lack = fb.sample_lack_mask(i); lack != 0;
+           lack &= lack - 1) {
+        ++lack_count(i, static_cast<TaskId>(std::countr_zero(lack)));
       }
     } else if (fb.sample(i, ct) == Feedback::kLack) {
       ++lack_count(i, ct);

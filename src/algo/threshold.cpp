@@ -50,10 +50,11 @@ void ThresholdAgent::step(Round t, const FeedbackAccess& fb,
   const double alpha = params_.smoothing;
   for (std::int64_t i = 0; i < n; ++i) {
     const auto iu = static_cast<std::size_t>(i);
-    // Update the smoothed lack-frequency estimate for every task.
+    // Update the smoothed lack-frequency estimate for every task (dormant
+    // tasks are masked to overload).
+    const std::uint64_t lack = fb.sample_lack_mask(i);
     for (TaskId j = 0; j < k_; ++j) {
-      const double obs =
-          fb.sample(i, j) == Feedback::kLack ? 1.0 : 0.0;
+      const double obs = ((lack >> j) & 1) != 0 ? 1.0 : 0.0;
       double& s = stimulus(i, j);
       s += alpha * (obs - s);
     }

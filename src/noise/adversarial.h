@@ -80,6 +80,7 @@ class AdversarialFeedback final : public FeedbackModel {
   double lack_probability(Round t, TaskId j, double deficit,
                           double demand) const override;
   bool deterministic() const override { return true; }
+  bool samples_marginal() const override { return true; }
 
  private:
   double gamma_ad_;

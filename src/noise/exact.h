@@ -11,6 +11,7 @@ class ExactFeedback final : public FeedbackModel {
  public:
   std::string_view name() const override { return "exact"; }
   bool deterministic() const override { return true; }
+  bool samples_marginal() const override { return true; }
 
   double lack_probability(Round /*t*/, TaskId /*j*/, double deficit,
                           double /*demand*/) const override {

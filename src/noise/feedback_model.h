@@ -53,6 +53,13 @@ class FeedbackModel {
   // Per-ant draw. Default: Bernoulli(lack_probability).
   virtual Feedback sample(Round t, TaskId j, std::int64_t ant, double deficit,
                           double demand, rng::Xoshiro256& gen) const;
+
+  // Opt-in promise that `sample` is exactly the default above — lack iff
+  // gen.uniform() < lack_probability(t, j, deficit, demand), with that
+  // probability a pure function of its arguments. The agent engine then
+  // computes p once per (round, task) and skips `sample` (algo/algorithm.h
+  // FeedbackAccess). A model that overrides `sample` must not claim it.
+  virtual bool samples_marginal() const { return false; }
 };
 
 }  // namespace antalloc

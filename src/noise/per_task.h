@@ -23,6 +23,7 @@ class PerTaskSigmoidFeedback final : public FeedbackModel {
 
   double lack_probability(Round t, TaskId j, double deficit,
                           double demand) const override;
+  bool samples_marginal() const override { return true; }
 
  private:
   std::vector<double> lambdas_;

@@ -22,6 +22,7 @@ class SigmoidFeedback final : public FeedbackModel {
 
   double lack_probability(Round t, TaskId j, double deficit,
                           double demand) const override;
+  bool samples_marginal() const override { return true; }
 
  private:
   double lambda_;

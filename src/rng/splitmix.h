@@ -24,12 +24,24 @@ constexpr std::uint64_t splitmix64_mix(std::uint64_t x) noexcept {
   return splitmix64_next(s);
 }
 
+// hash_combine(a, b), split in two: the term that depends on `b` alone, and
+// the step that folds such a term into `a`. A caller combining many values
+// with the same `b` computes hash_key_term(b) once and then pays one mix per
+// combine (the per-ant feedback stream does this for every task id).
+constexpr std::uint64_t hash_key_term(std::uint64_t b) noexcept {
+  return 0x9e3779b97f4a7c15ull + (b << 6) + (b >> 2) + splitmix64_mix(b);
+}
+
+constexpr std::uint64_t hash_combine_term(std::uint64_t a,
+                                          std::uint64_t key_term) noexcept {
+  return splitmix64_mix(a ^ key_term);
+}
+
 // Combine words into a well-mixed 64-bit value. Used to derive independent
 // substreams from (seed, trial, round, purpose, ...) coordinates so results
 // are reproducible regardless of thread scheduling.
 constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
-  return splitmix64_mix(a ^ (0x9e3779b97f4a7c15ull + (b << 6) + (b >> 2) +
-                             splitmix64_mix(b)));
+  return hash_combine_term(a, hash_key_term(b));
 }
 
 constexpr std::uint64_t hash_words(std::uint64_t a, std::uint64_t b,

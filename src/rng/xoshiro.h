@@ -27,8 +27,16 @@ class Xoshiro256 {
     return std::numeric_limits<result_type>::max();
   }
 
+  // Xoshiro256(seed).uniform() without expanding the state: the first
+  // output scrambles state word 1 only, which is the second SplitMix64
+  // output from `seed`.
+  static constexpr double first_uniform(std::uint64_t seed) noexcept {
+    std::uint64_t sm = seed + 0x9e3779b97f4a7c15ull;  // skip word 0
+    return to_unit(scramble(splitmix64_next(sm)));
+  }
+
   constexpr result_type operator()() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t result = scramble(state_[1]);
     const std::uint64_t t = state_[1] << 17;
     state_[2] ^= state_[0];
     state_[3] ^= state_[1];
@@ -40,9 +48,7 @@ class Xoshiro256 {
   }
 
   // Uniform double in [0, 1) with 53 random bits.
-  constexpr double uniform() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
+  constexpr double uniform() noexcept { return to_unit((*this)()); }
 
   // Bernoulli(p) draw; p outside [0,1] saturates.
   constexpr bool bernoulli(double p) noexcept { return uniform() < p; }
@@ -59,6 +65,13 @@ class Xoshiro256 {
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
+  }
+  // The ** scrambler: an output as a function of state word 1.
+  static constexpr result_type scramble(std::uint64_t s1) noexcept {
+    return rotl(s1 * 5, 7) * 9;
+  }
+  static constexpr double to_unit(result_type x) noexcept {
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
   }
 
   std::uint64_t state_[4]{};

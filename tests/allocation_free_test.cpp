@@ -1,7 +1,7 @@
-// Pins the "allocation-free round emission" property of the agent engine:
-// with default metrics options (no trace) every heap allocation happens
-// during setup (reset, buffer reservation, result assembly) — none per
-// round. The proof is a global operator-new counter and two runs differing
+// Pins the "allocation-free round emission" property of the agent engine,
+// for every agent algorithm: with default metrics options (no trace) every
+// heap allocation happens during setup (reset, buffer reservation, result
+// assembly) — none per round. The proof is a global operator-new counter and two runs differing
 // only in round count: if any per-round path allocated, the longer run
 // would count more.
 //
@@ -14,9 +14,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "agent/agent_sim.h"
-#include "algo/ant.h"
+#include "algo/registry.h"
 #include "noise/sigmoid.h"
 
 namespace {
@@ -67,50 +68,70 @@ namespace {
 
 std::uint64_t g_sink = 0;  // keeps results observable
 
-std::uint64_t allocations_for_run(SamplingMode mode, Round rounds) {
+struct AllocCase {
+  std::string algo;
+  SamplingMode mode;
+};
+
+std::uint64_t allocations_for_run(const AllocCase& c, Round rounds) {
   const std::uint64_t before =
       g_allocations.load(std::memory_order_relaxed);
   {
-    AntAgent algo(AntParams{.gamma = 0.05});
+    // epsilon 0.9 keeps the precise variants' phases short enough that the
+    // runs cross phase boundaries and decision rounds.
+    auto algo = make_agent_algorithm(
+        AlgoConfig{.name = c.algo, .gamma = 0.05, .epsilon = 0.9});
     SigmoidFeedback fm(1.0);
     const DemandVector demands({Count{60}, Count{40}});
     AgentSimConfig cfg{.n_ants = 512,
                        .rounds = rounds,
                        .seed = 7,
                        .metrics = {.gamma = 0.05},
-                       .sampling = mode};
-    const auto res = run_agent_sim(algo, fm, demands, cfg);
+                       .sampling = c.mode};
+    const auto res = run_agent_sim(*algo, fm, demands, cfg);
     g_sink += static_cast<std::uint64_t>(res.switches);
   }
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-class AllocationFree : public ::testing::TestWithParam<SamplingMode> {};
+class AllocationFree : public ::testing::TestWithParam<AllocCase> {};
 
 TEST_P(AllocationFree, RoundCountDoesNotChangeAllocationCount) {
-  const SamplingMode mode = GetParam();
+  const AllocCase& c = GetParam();
   // Warm up once: one-time lazy initialisation inside the stdlib (locale,
   // distribution internals) must not be charged to either measured run.
-  (void)allocations_for_run(mode, 50);
+  (void)allocations_for_run(c, 50);
 
-  const std::uint64_t short_run = allocations_for_run(mode, 100);
-  const std::uint64_t long_run = allocations_for_run(mode, 300);
+  const std::uint64_t short_run = allocations_for_run(c, 100);
+  const std::uint64_t long_run = allocations_for_run(c, 300);
   // Setup allocations scale with n and k only; if any per-round code path
   // allocated, the 300-round run would exceed the 100-round run.
-  EXPECT_EQ(short_run, long_run) << "per-round heap allocations detected in "
-                                 << to_string(mode) << " mode";
+  EXPECT_EQ(short_run, long_run) << "per-round heap allocations detected for "
+                                 << c.algo << " in " << to_string(c.mode)
+                                 << " mode";
   // Sanity: the counter is actually live.
   EXPECT_GT(short_run, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(SamplingModes, AllocationFree,
-                         ::testing::Values(SamplingMode::kPerAnt,
-                                           SamplingMode::kBatched),
-                         [](const ::testing::TestParamInfo<SamplingMode>& i) {
-                           return i.param == SamplingMode::kPerAnt
-                                      ? "per_ant"
-                                      : "batched";
-                         });
+// Every agent algorithm on the per-ant path, plus `ant` on its batched
+// runner.
+INSTANTIATE_TEST_SUITE_P(
+    AgentAlgorithms, AllocationFree,
+    ::testing::Values(AllocCase{"ant", SamplingMode::kPerAnt},
+                      AllocCase{"ant", SamplingMode::kBatched},
+                      AllocCase{"threshold", SamplingMode::kPerAnt},
+                      AllocCase{"precise-adversarial", SamplingMode::kPerAnt},
+                      AllocCase{"precise-sigmoid", SamplingMode::kPerAnt},
+                      AllocCase{"trivial", SamplingMode::kPerAnt}),
+    [](const ::testing::TestParamInfo<AllocCase>& i) {
+      std::string name = i.param.algo + "_" +
+                         (i.param.mode == SamplingMode::kPerAnt ? "per_ant"
+                                                                 : "batched");
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace antalloc

@@ -33,6 +33,37 @@ TEST(SplitMix, HashWordsOrderSensitive) {
   EXPECT_NE(hash_words(1, 2, 3, 4), hash_words(1, 2, 4, 3));
 }
 
+TEST(SplitMix, HashCombineEqualsKeyTermThenCombine) {
+  // hash_combine's formula written out in one expression: the split form
+  // must reproduce it bit for bit.
+  const auto reference = [](std::uint64_t a, std::uint64_t b) {
+    return splitmix64_mix(a ^ (0x9e3779b97f4a7c15ull + (b << 6) + (b >> 2) +
+                               splitmix64_mix(b)));
+  };
+  std::uint64_t sm = 5;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint64_t a = splitmix64_next(sm);
+    const std::uint64_t b = i < 100 ? static_cast<std::uint64_t>(i)
+                                    : splitmix64_next(sm);
+    ASSERT_EQ(hash_combine(a, b), reference(a, b)) << a << " " << b;
+    ASSERT_EQ(hash_combine_term(a, hash_key_term(b)), hash_combine(a, b));
+  }
+}
+
+TEST(Xoshiro, FirstUniformEqualsExpandedGenerator) {
+  std::uint64_t sm = 9;
+  for (int i = 0; i < 100'000; ++i) {
+    // 0, 2^64 - 1 and 2^64 - 2 first, then well-mixed seeds.
+    const std::uint64_t seed =
+        i < 3 ? std::uint64_t{0} - static_cast<std::uint64_t>(i)
+              : splitmix64_next(sm);
+    ASSERT_EQ(Xoshiro256::first_uniform(seed), Xoshiro256(seed).uniform())
+        << "seed " << seed;
+  }
+  static_assert(Xoshiro256::first_uniform(12345) ==
+                Xoshiro256(12345).uniform());
+}
+
 TEST(Xoshiro, SameSeedSameStream) {
   Xoshiro256 a(7);
   Xoshiro256 b(7);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -101,11 +102,33 @@ inline CampaignConfig shard_matrix() {
 }
 
 // A fresh (pre-wiped) per-test scratch directory under the system temp root.
+// The name carries the running test's suite and name plus the process id, so
+// test binaries run in parallel (ctest -j) never share, and so never wipe,
+// each other's directories even when they pass the same tag. Every directory
+// is removed when the process exits, so per-process names do not pile up.
 inline std::string make_temp_dir(const std::string& tag) {
+  struct RemoveAtExit {
+    std::vector<std::filesystem::path> dirs;
+    ~RemoveAtExit() {
+      std::error_code ignored;
+      for (const auto& d : dirs) std::filesystem::remove_all(d, ignored);
+    }
+  };
+  static RemoveAtExit created;
+  std::string owner = "antalloc_test_";
+  if (const auto* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    owner += std::string(info->test_suite_name()) + "." + info->name() + "_";
+  }
+  owner += std::to_string(::getpid()) + "_" + tag;
+  for (char& c : owner) {
+    if (c == '/') c = '_';  // parameterized suites/names contain '/'
+  }
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / ("antalloc_test_" + tag);
+      std::filesystem::temp_directory_path() / owner;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  created.dirs.push_back(dir);
   return dir.string();
 }
 
