@@ -97,6 +97,31 @@ void BM_LackMaskLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_LackMaskLoop)->Arg(1 << 14);
 
+// The same masks drawn in blocks of 64 ants, as the agent algorithms draw
+// them (FeedbackAccess::for_each_lack_mask): the SIMD lane on CPUs with AVX2
+// or AVX-512, else the per-ant loop above.
+void BM_LackMaskBlock(benchmark::State& state) {
+  const auto n = static_cast<Count>(state.range(0));
+  const std::int32_t k = 4;
+  SigmoidFeedback fm(0.05);
+  const std::vector<double> deficits(static_cast<std::size_t>(k), 5.0);
+  const std::vector<Count> demand_counts(static_cast<std::size_t>(k),
+                                         Count{64});
+  Round t = 1;
+  for (auto _ : state) {
+    const FeedbackAccess fb(fm, t, deficits, demand_counts, 3);
+    std::uint64_t acc = 0;
+    fb.for_each_lack_mask(
+        n, [](std::int64_t) { return ~0ull; },
+        [&](std::int64_t, std::uint64_t lack) { acc ^= lack; });
+    benchmark::DoNotOptimize(acc);
+    ++t;
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(rng::kLackLane != nullptr ? "simd" : "per-ant fallback");
+}
+BENCHMARK(BM_LackMaskBlock)->Arg(1 << 14);
+
 // The engine's fused loads+switches diff over a double-buffered assignment
 // pair (what replaced the per-round recount-from-zero).
 void BM_SwitchRecount(benchmark::State& state) {

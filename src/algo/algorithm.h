@@ -21,7 +21,9 @@
 // W_t. Rounds are numbered from t = 1.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -33,6 +35,7 @@
 #include "core/demand.h"
 #include "core/types.h"
 #include "noise/feedback_model.h"
+#include "rng/lack_lane.h"
 #include "rng/splitmix.h"
 #include "rng/xoshiro.h"
 
@@ -52,10 +55,12 @@ namespace antalloc {
 // The constructor hoists what does not depend on the ant: the round key
 // hash_combine(seed, t), each task's hash_key_term(j) and, for models that
 // sample the marginal (FeedbackModel::samples_marginal), each task's lack
-// probability. A cell then costs one mix for its seed plus, on the marginal
-// path, one SplitMix64 step for the generator's first uniform — the same
-// bits the full derivation produces (docs/ARCHITECTURE.md, "RNG stream
-// policy").
+// probability as an integer threshold (rng::lack_threshold). A cell then
+// costs one mix for its seed plus, on the marginal path, one SplitMix64 step
+// for the generator's first output and one integer compare — the same bits
+// the full derivation produces (docs/ARCHITECTURE.md, "Per-ant stream").
+// sample_lack_masks draws a block of ants at once through the SIMD lane of
+// rng/lack_lane.h when the CPU has one.
 class FeedbackAccess {
  public:
   FeedbackAccess(FeedbackModel& fm, Round t, std::span<const double> deficits,
@@ -71,12 +76,13 @@ class FeedbackAccess {
     if (deficits.size() > static_cast<std::size_t>(kMaxAgentTasks)) {
       throw std::invalid_argument("FeedbackAccess: k exceeds kMaxAgentTasks");
     }
+    if (num_tasks() < 64) live_mask_ &= (1ull << num_tasks()) - 1;
     for (TaskId j = 0; j < num_tasks(); ++j) {
       const auto ju = static_cast<std::size_t>(j);
       task_key_[ju] = rng::hash_key_term(static_cast<std::uint64_t>(j));
       if (samples_marginal_) {
-        lack_p_[ju] = fm.lack_probability(t, j, deficits[ju],
-                                          static_cast<double>(demands[ju]));
+        lack_below_[ju] = rng::lack_threshold(fm.lack_probability(
+            t, j, deficits[ju], static_cast<double>(demands[ju])));
       }
     }
   }
@@ -103,8 +109,8 @@ class FeedbackAccess {
 
   // Bitmask of tasks whose feedback for `ant` is lack (bit j set = lack).
   // Inactive tasks never report lack: the mask is applied once at the end,
-  // keeping the per-task sampling loop branch-free (this is the agent
-  // engine's hottest path — see bench_perf_engines BM_AgentAntRound).
+  // keeping the per-task sampling loop branch-free. This is the single-ant
+  // form and the reference for the block draws below.
   std::uint64_t sample_lack_mask(std::int64_t ant) const {
     const std::uint64_t key = ant_key(ant);
     std::uint64_t mask = 0;
@@ -114,7 +120,85 @@ class FeedbackAccess {
     return mask & active_mask_;
   }
 
+  // out[a] == sample_lack_mask(first_ant + a), bit for bit. Marginal models
+  // run `lane`, by default the widest SIMD lane this CPU has; without one
+  // (nullptr), and for every other model, this is the per-ant loop. Tests
+  // pass each lane by name.
+  void sample_lack_masks(std::int64_t first_ant, std::span<std::uint64_t> out,
+                         rng::LackLane lane = rng::kLackLane) const {
+    if (draw_lane(lane, first_ant, out)) return;
+    for (std::size_t a = 0; a < out.size(); ++a) {
+      out[a] = sample_lack_mask(first_ant + static_cast<std::int64_t>(a));
+    }
+  }
+
+  // out[a] == sample_lack_mask(first_ant + a) & want[a]: the same bits,
+  // restricted to the tasks the caller reads (e.g. 1 << ct for a working
+  // ant). The lane draws every task and masks at the end; the per-ant
+  // fallback draws only the wanted cells, so an ant that reads one task
+  // pays for one cell. want.size() must equal out.size().
+  void sample_lack_masks(std::int64_t first_ant,
+                         std::span<const std::uint64_t> want,
+                         std::span<std::uint64_t> out,
+                         rng::LackLane lane = rng::kLackLane) const {
+    if (draw_lane(lane, first_ant, out)) {
+      for (std::size_t a = 0; a < out.size(); ++a) out[a] &= want[a];
+      return;
+    }
+    for (std::size_t a = 0; a < out.size(); ++a) {
+      const std::int64_t ant = first_ant + static_cast<std::int64_t>(a);
+      const std::uint64_t key = ant_key(ant);
+      std::uint64_t mask = 0;
+      for (std::uint64_t bits = want[a] & live_mask_; bits != 0;
+           bits &= bits - 1) {
+        const auto j = static_cast<TaskId>(std::countr_zero(bits));
+        mask |= static_cast<std::uint64_t>(lack_unmasked(ant, key, j)) << j;
+      }
+      out[a] = mask;
+    }
+  }
+
+  // Calls fn(i, lack_mask) for ants i = 0..n-1 in order, where lack_mask is
+  // sample_lack_mask(i) & want(i): the agent algorithms' block draw, 64 ants
+  // at a time into stack arrays. Every want(i) of a block is read before the
+  // first fn of that block runs, so want must not depend on what fn writes
+  // for lower-numbered ants of the same block.
+  template <class WantFn, class Fn>
+  void for_each_lack_mask(std::int64_t n, WantFn&& want, Fn&& fn) const {
+    std::array<std::uint64_t, kLackBlock> wants{};
+    std::array<std::uint64_t, kLackBlock> masks{};
+    for (std::int64_t base = 0; base < n; base += kLackBlock) {
+      const auto len = static_cast<std::size_t>(
+          std::min<std::int64_t>(kLackBlock, n - base));
+      for (std::size_t a = 0; a < len; ++a) {
+        wants[a] = want(base + static_cast<std::int64_t>(a));
+      }
+      sample_lack_masks(base, std::span(wants).first(len),
+                        std::span(masks).first(len));
+      for (std::size_t a = 0; a < len; ++a) {
+        fn(base + static_cast<std::int64_t>(a), masks[a]);
+      }
+    }
+  }
+
  private:
+  static constexpr std::size_t kLackBlock = 64;
+
+  // The SIMD block draw, for marginal models and a non-null lane: writes
+  // the masked lack masks of ants first_ant.. into out and returns true.
+  bool draw_lane(rng::LackLane lane, std::int64_t first_ant,
+                 std::span<std::uint64_t> out) const {
+    if (!samples_marginal_ || lane == nullptr) return false;
+    const auto k = static_cast<std::size_t>(num_tasks());
+    const rng::LackStream stream{
+        .round_key = round_key_,
+        .task_keys = std::span(task_key_).first(k),
+        .thresholds = std::span(lack_below_).first(k)};
+    lane(stream, static_cast<std::uint64_t>(first_ant), out);
+    for (std::uint64_t& m : out) m &= active_mask_;
+    return true;
+  }
+
   // hash_words(seed, t, ant) — the per-ant prefix of every cell seed.
   std::uint64_t ant_key(std::int64_t ant) const {
     return rng::hash_combine(round_key_, static_cast<std::uint64_t>(ant));
@@ -127,7 +211,7 @@ class FeedbackAccess {
     const auto ju = static_cast<std::size_t>(j);
     const std::uint64_t cell = rng::hash_combine_term(key, task_key_[ju]);
     if (samples_marginal_) {
-      return rng::Xoshiro256::first_uniform(cell) < lack_p_[ju];
+      return (rng::Xoshiro256::first_output(cell) >> 11) < lack_below_[ju];
     }
     rng::Xoshiro256 gen(cell);
     return fm_.sample(t_, j, ant, deficits_[ju],
@@ -140,11 +224,20 @@ class FeedbackAccess {
   std::span<const double> deficits_;
   std::span<const Count> demands_;
   std::uint64_t active_mask_;
+  std::uint64_t live_mask_ = active_mask_;  // active tasks below k
   std::uint64_t round_key_;  // hash_combine(seed, t)
   bool samples_marginal_;
   std::array<std::uint64_t, kMaxAgentTasks> task_key_{};  // hash_key_term(j)
-  std::array<double, kMaxAgentTasks> lack_p_{};  // marginal models only
+  // lack_threshold(p_j), marginal models only.
+  std::array<std::uint64_t, kMaxAgentTasks> lack_below_{};
 };
+
+// The tasks whose feedback an ant on `ct` reads in the paper's automata:
+// every task while idle (the join scan), only its own while working (the
+// leave test). A `want` mask for FeedbackAccess::for_each_lack_mask.
+constexpr std::uint64_t own_task_or_all(TaskId ct) {
+  return ct == kIdle ? ~0ull : 1ull << ct;
+}
 
 class BatchedAgentRunner;  // algo/batched.h
 

@@ -56,37 +56,44 @@ void AntAgent::step(Round t, const FeedbackAccess& fb,
   const bool first_round_of_phase = (t % 2) == 1;
 
   if (first_round_of_phase) {
-    for (std::int64_t i = 0; i < n; ++i) {
+    // Idle ants need the full first-sample vector for the join rule;
+    // working ants only ever consult their own task's sample.
+    const auto wanted = [&](std::int64_t i) {
+      return own_task_or_all(prev[static_cast<std::size_t>(i)]);
+    };
+    fb.for_each_lack_mask(n, wanted, [&](std::int64_t i, std::uint64_t s1) {
       const auto iu = static_cast<std::size_t>(i);
       // Line 4: commit to the task held at the end of the previous phase.
       const TaskId ct = prev[iu];
       current_task_[iu] = ct;
-      rng::Xoshiro256 gen(rng::hash_words(seed_ ^ 0xA11Au,
-                                          static_cast<std::uint64_t>(t),
-                                          static_cast<std::uint64_t>(i)));
+      s1_lack_[iu] = s1;
       if (ct == kIdle) {
-        // Idle ants need the full first-sample vector for the join rule.
-        s1_lack_[iu] = fb.sample_lack_mask(i);
         next[iu] = kIdle;
       } else {
-        // Working ants only ever consult their own task's sample.
-        const Feedback s1 = fb.sample(i, ct);
-        s1_lack_[iu] = (s1 == Feedback::kLack) ? (1ull << ct) : 0;
+        rng::Xoshiro256 gen(rng::hash_words(seed_ ^ 0xA11Au,
+                                            static_cast<std::uint64_t>(t),
+                                            static_cast<std::uint64_t>(i)));
         next[iu] = gen.bernoulli(params_.pause_probability()) ? kIdle : ct;
       }
-    }
+    });
     return;
   }
 
-  // Second round of the phase: sample s2 and decide.
-  for (std::int64_t i = 0; i < n; ++i) {
+  // Second round of the phase: sample s2 and decide. An idle ant only needs
+  // s2 where s1 was lack; a working ant only its own task.
+  const auto wanted = [&](std::int64_t i) {
+    const auto iu = static_cast<std::size_t>(i);
+    const TaskId ct = current_task_[iu];
+    return ct == kIdle ? s1_lack_[iu] : 1ull << ct;
+  };
+  fb.for_each_lack_mask(n, wanted, [&](std::int64_t i, std::uint64_t s2) {
     const auto iu = static_cast<std::size_t>(i);
     const TaskId ct = current_task_[iu];
     rng::Xoshiro256 gen(rng::hash_words(seed_ ^ 0xA22Au,
                                         static_cast<std::uint64_t>(t),
                                         static_cast<std::uint64_t>(i)));
     if (ct == kIdle) {
-      const std::uint64_t both_lack = s1_lack_[iu] & fb.sample_lack_mask(i);
+      const std::uint64_t both_lack = s1_lack_[iu] & s2;
       if (both_lack == 0) {
         next[iu] = kIdle;
       } else {
@@ -97,12 +104,12 @@ void AntAgent::step(Round t, const FeedbackAccess& fb,
       }
     } else {
       const bool s1_over = (s1_lack_[iu] & (1ull << ct)) == 0;
-      const bool s2_over = fb.sample(i, ct) == Feedback::kOverload;
+      const bool s2_over = s2 == 0;
       const bool leave = s1_over && s2_over &&
                          gen.bernoulli(params_.leave_probability());
       next[iu] = leave ? kIdle : ct;
     }
-  }
+  });
 }
 
 void AntAgent::on_lifecycle(Round /*t*/, const ActiveSet& active) {

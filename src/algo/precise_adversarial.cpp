@@ -69,31 +69,35 @@ void PreciseAdversarialAgent::step(Round t, const FeedbackAccess& fb,
   const Round phase = params_.phase_length();
   const auto r = static_cast<std::int32_t>(t % phase);
 
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto iu = static_cast<std::size_t>(i);
-
-    if (r == 1) {
-      // Phase start: commit, clear per-phase memory.
+  if (r == 1) {
+    // Phase start: commit, clear per-phase memory.
+    for (std::int64_t i = 0; i < n; ++i) {
+      const auto iu = static_cast<std::size_t>(i);
       current_task_[iu] = prev[iu];
       pause_round_[iu] = kNeverPaused;
       first_lack_[iu] = r1;
       all_lack_[iu] = full_mask(k_);
       all_over_[iu] = 1;
     }
+  }
+
+  // Idle ants track the all-lack mask over every task, all phase long;
+  // working ants read only their own task.
+  const auto wanted = [&](std::int64_t i) {
+    return own_task_or_all(current_task_[static_cast<std::size_t>(i)]);
+  };
+  fb.for_each_lack_mask(n, wanted, [&](std::int64_t i, std::uint64_t lack) {
+    const auto iu = static_cast<std::size_t>(i);
     const TaskId ct = current_task_[iu];
 
-    // --- Sample this round's feedback and fold it into the phase memory.
+    // --- Fold this round's feedback into the phase memory.
     if (ct == kIdle) {
-      // Idle ants track the all-lack mask over every task, all phase long.
-      all_lack_[iu] &= fb.sample_lack_mask(i);
+      all_lack_[iu] &= lack;
+    } else if (lack != 0) {
+      all_over_[iu] = 0;
+      if (r < r1 && first_lack_[iu] == r1) first_lack_[iu] = r;
     } else {
-      const Feedback f = fb.sample(i, ct);
-      if (f == Feedback::kLack) {
-        all_over_[iu] = 0;
-        if (r < r1 && first_lack_[iu] == r1) first_lack_[iu] = r;
-      } else {
-        all_lack_[iu] &= ~(1ull << ct);
-      }
+      all_lack_[iu] &= ~(1ull << ct);
     }
 
     // This ant's per-round generator, built only by the branches that draw
@@ -138,7 +142,7 @@ void PreciseAdversarialAgent::step(Round t, const FeedbackAccess& fb,
     }
     // r in [r1+1, r1+r2-1]: keep the frozen assignment (out == prev).
     next[iu] = out;
-  }
+  });
 }
 
 void PreciseAdversarialAgent::on_lifecycle(Round /*t*/,

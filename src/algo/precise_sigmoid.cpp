@@ -93,20 +93,18 @@ void PreciseSigmoidAgent::on_lifecycle(Round /*t*/, const ActiveSet& active) {
 
 void PreciseSigmoidAgent::accumulate(const FeedbackAccess& fb, Count n_ants) {
   const auto n = static_cast<std::int64_t>(n_ants);
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (dormant_[static_cast<std::size_t>(i)] != 0) continue;
-    const TaskId ct = current_task_[static_cast<std::size_t>(i)];
-    if (ct == kIdle) {
-      // Idle ants need the median for every active task (join rule);
-      // dormant tasks are masked to overload.
-      for (std::uint64_t lack = fb.sample_lack_mask(i); lack != 0;
-           lack &= lack - 1) {
-        ++lack_count(i, static_cast<TaskId>(std::countr_zero(lack)));
-      }
-    } else if (fb.sample(i, ct) == Feedback::kLack) {
-      ++lack_count(i, ct);
+  // Idle ants need the median for every active task (join rule), workers
+  // only for their own, ants sitting out the phase for none. Dormant tasks
+  // are masked to overload.
+  const auto wanted = [&](std::int64_t i) {
+    const auto iu = static_cast<std::size_t>(i);
+    return dormant_[iu] != 0 ? 0 : own_task_or_all(current_task_[iu]);
+  };
+  fb.for_each_lack_mask(n, wanted, [&](std::int64_t i, std::uint64_t lack) {
+    for (; lack != 0; lack &= lack - 1) {
+      ++lack_count(i, static_cast<TaskId>(std::countr_zero(lack)));
     }
-  }
+  });
 }
 
 void PreciseSigmoidAgent::step(Round t, const FeedbackAccess& fb,

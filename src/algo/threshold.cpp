@@ -48,11 +48,12 @@ void ThresholdAgent::step(Round t, const FeedbackAccess& fb,
                           std::span<TaskId> next) {
   const auto n = static_cast<std::int64_t>(prev.size());
   const double alpha = params_.smoothing;
-  for (std::int64_t i = 0; i < n; ++i) {
+  const auto every_task = [](std::int64_t) { return ~0ull; };
+  fb.for_each_lack_mask(n, every_task, [&](std::int64_t i,
+                                           std::uint64_t lack) {
     const auto iu = static_cast<std::size_t>(i);
     // Update the smoothed lack-frequency estimate for every task (dormant
     // tasks are masked to overload).
-    const std::uint64_t lack = fb.sample_lack_mask(i);
     for (TaskId j = 0; j < k_; ++j) {
       const double obs = ((lack >> j) & 1) != 0 ? 1.0 : 0.0;
       double& s = stimulus(i, j);
@@ -82,7 +83,7 @@ void ThresholdAgent::step(Round t, const FeedbackAccess& fb,
       out = kIdle;
     }
     next[iu] = out;
-  }
+  });
   (void)t;
 }
 

@@ -35,7 +35,10 @@ void ReactiveAgent::step(Round t, const FeedbackAccess& fb,
                          std::span<const TaskId> prev,
                          std::span<TaskId> next) {
   const auto n = static_cast<std::int64_t>(prev.size());
-  for (std::int64_t i = 0; i < n; ++i) {
+  const auto wanted = [&](std::int64_t i) {
+    return own_task_or_all(prev[static_cast<std::size_t>(i)]);
+  };
+  fb.for_each_lack_mask(n, wanted, [&](std::int64_t i, std::uint64_t lack) {
     const auto iu = static_cast<std::size_t>(i);
     const TaskId ct = prev[iu];
     TaskId out = ct;
@@ -43,18 +46,16 @@ void ReactiveAgent::step(Round t, const FeedbackAccess& fb,
                                         static_cast<std::uint64_t>(t),
                                         static_cast<std::uint64_t>(i)));
     if (ct == kIdle) {
-      const std::uint64_t lack = fb.sample_lack_mask(i);
       if (lack != 0) {
         const int pick = static_cast<int>(
             gen.uniform_below(static_cast<std::uint64_t>(std::popcount(lack))));
         out = static_cast<TaskId>(nth_set_bit(lack, pick));
       }
-    } else if (fb.sample(i, ct) == Feedback::kOverload &&
-               gen.bernoulli(params_.leave_probability)) {
+    } else if (lack == 0 && gen.bernoulli(params_.leave_probability)) {
       out = kIdle;
     }
     next[iu] = out;
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------

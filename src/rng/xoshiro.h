@@ -4,6 +4,7 @@
 // "Scrambled Linear Pseudorandom Number Generators" (2019).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -27,12 +28,12 @@ class Xoshiro256 {
     return std::numeric_limits<result_type>::max();
   }
 
-  // Xoshiro256(seed).uniform() without expanding the state: the first
-  // output scrambles state word 1 only, which is the second SplitMix64
-  // output from `seed`.
-  static constexpr double first_uniform(std::uint64_t seed) noexcept {
+  // Xoshiro256(seed)() without expanding the state: the first output
+  // scrambles state word 1 only, which is the second SplitMix64 output from
+  // `seed`.
+  static constexpr result_type first_output(std::uint64_t seed) noexcept {
     std::uint64_t sm = seed + 0x9e3779b97f4a7c15ull;  // skip word 0
-    return to_unit(scramble(splitmix64_next(sm)));
+    return scramble(splitmix64_next(sm));
   }
 
   constexpr result_type operator()() noexcept {
@@ -76,6 +77,18 @@ class Xoshiro256 {
 
   std::uint64_t state_[4]{};
 };
+
+// The integer form of a Bernoulli(p) test on an output x: `uniform() < p`
+// reads x as m * 2^-53 with m = x >> 11, an exact double, so it holds iff
+// m < ceil(p * 2^53). That threshold is 0 for p <= 0 or NaN and 2^53 for
+// p >= 1 (every m passes). Samplers that test `(x >> 11) < lack_threshold(p)`
+// need no floating point per draw, so compiler contraction or vector width
+// cannot change a bit.
+inline std::uint64_t lack_threshold(double p) noexcept {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
 
 // Derives an independent generator for a logical coordinate, e.g.
 // (seed, trial) or (seed, round, task). The mapping is pure: the same

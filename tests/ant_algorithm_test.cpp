@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "aggregate/aggregate_sim.h"
 #include "agent/agent_sim.h"
 #include "algo/ant.h"
 #include "core/critical_value.h"
+#include "noise/adversarial.h"
 #include "noise/exact.h"
 #include "noise/sigmoid.h"
+#include "rng/splitmix.h"
+#include "sim/campaign.h"
+#include "sim/scenario.h"
+#include "testing_util.h"
 
 namespace antalloc {
 namespace {
@@ -137,6 +143,38 @@ TEST(AntAgent, TinyColonyRunsAndConverges) {
   EXPECT_NEAR(static_cast<double>(res.final_loads[0]), 100.0, 60.0);
   EXPECT_NEAR(static_cast<double>(res.final_loads[1]), 100.0, 60.0);
   EXPECT_GT(res.switches, 0);
+}
+
+// Exact pin of Ant's per-ant automaton (the agent engine defaults to the
+// batched runner for `ant`, so nothing else locks this stream): a per-ant
+// campaign over every scenario family, under sigmoid noise and under an
+// anti-gradient adversary, must reproduce the CSV bytes recorded below. Any
+// change to the per-ant feedback stream or to the automaton's draw order
+// fails here. If a change is INTENTIONAL, re-pin the constant in the same
+// commit: the failure message prints the new value.
+TEST(AntAgent, PerAntCampaignCsvIsPinned) {
+  test_util::MatrixOptions o;
+  o.families = scenario_names();
+  o.algos = {"ant"};
+  o.demands = {Count{120}, Count{80}, Count{60}};
+  o.rounds = 301;
+  o.n_ants = 300;
+  o.seed = 2026;
+  o.replicates = 1;
+  o.lambda = 0.2;
+  CampaignConfig cfg = test_util::test_matrix(o);
+  cfg.noises.push_back({"adv-anti-gradient", [] {
+                          return std::make_unique<AdversarialFeedback>(
+                              0.05,
+                              make_named_adversary("anti-gradient", 0.05));
+                        }});
+  cfg.engine = Engine::kAgent;
+  cfg.sampling = SamplingMode::kPerAnt;
+  const CampaignResult result = run_campaign(cfg);
+  ASSERT_EQ(result.cells.size(), scenario_names().size() * 2);
+  const std::uint64_t csv_hash = rng::hash_string(result.to_csv());
+  EXPECT_EQ(csv_hash, 3609977870818542386ull)
+      << "to_csv() FNV-1a is now " << csv_hash;
 }
 
 TEST(AntAgent, RejectsTooManyTasks) {

@@ -1,13 +1,20 @@
 // Tests for the FeedbackAccess oracle the agent engine hands to algorithms:
 // per-(round, ant, task) determinism, mask packing, the out-of-model demand
-// accessor, and bit-equality of the round-hoisted stream with the full
-// (seed, t, ant, j) derivation for every built-in model.
+// accessor, bit-equality of the round-hoisted stream with the full
+// (seed, t, ant, j) derivation for every built-in model, and bit-equality of
+// the block draw with the per-ant one through every SIMD lane and the
+// fallback loop.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "algo/algorithm.h"
@@ -16,6 +23,7 @@
 #include "noise/exact.h"
 #include "noise/per_task.h"
 #include "noise/sigmoid.h"
+#include "rng/lack_lane.h"
 #include "rng/splitmix.h"
 
 namespace antalloc {
@@ -194,6 +202,170 @@ TEST(FeedbackAccess, HoistedStreamEqualsFullDerivationForEveryModel) {
         }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Block draws: every lane must give sample_lack_mask's bits.
+// ---------------------------------------------------------------------------
+
+struct NamedLane {
+  std::string name;
+  rng::LackLane lane;  // nullptr = the per-ant fallback loop
+  bool supported;
+};
+
+std::vector<NamedLane> every_lane() {
+  std::vector<NamedLane> lanes = {{"fallback", nullptr, true}};
+#if defined(__x86_64__) || defined(_M_X64)
+  lanes.push_back({"v4", rng::lack_lane_v4,
+                   __builtin_cpu_supports("x86-64-v4") != 0});
+  lanes.push_back({"v3", rng::lack_lane_v3,
+                   __builtin_cpu_supports("x86-64-v3") != 0});
+#endif
+  return lanes;
+}
+
+void PrintTo(const NamedLane& lane, std::ostream* os) { *os << lane.name; }
+
+class LackLaneTest : public ::testing::TestWithParam<NamedLane> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().supported) {
+      GTEST_SKIP() << "CPU lacks the " << GetParam().name << " lane";
+    }
+  }
+};
+
+TEST_P(LackLaneTest, BlockDrawEqualsPerAntMaskForEveryModel) {
+  const rng::LackLane lane = GetParam().lane;
+  // (first ant, block length): lengths around the 64-ant block, first ants
+  // near 2^40.
+  const std::int64_t far = std::int64_t{1} << 40;
+  const std::vector<std::pair<std::int64_t, std::size_t>> blocks = {
+      {0, 4096},      {3, 1},        {100, 7},
+      {far - 63, 63}, {far - 1, 64}, {far + 5, 65}};
+  const std::vector<Round> rounds = {1, 1'000'000};
+  rng::Xoshiro256 want_gen(31);
+  std::vector<std::uint64_t> out;
+  std::vector<std::uint64_t> want;
+  for (const NamedModel& named : every_builtin_model()) {
+    for (const std::int32_t k : {1, 4, 8, 64}) {
+      SCOPED_TRACE(named.name + " k=" + std::to_string(k));
+      const auto model = named.make(k);
+      std::vector<double> deficits;
+      std::vector<Count> demands;
+      for (std::int32_t j = 0; j < k; ++j) {
+        deficits.push_back(static_cast<double>((j * 7) % 41 - 20));
+        demands.push_back(Count{100});
+      }
+      const std::uint64_t all = k == 64 ? ~0ull : (1ull << k) - 1;
+      const std::uint64_t some_dormant =
+          all & std::uint64_t{0xA5A5'5A5A'F0F0'0F0A};
+      for (const std::uint64_t mask : {all, some_dormant, ~std::uint64_t{0}}) {
+        for (const Round t : rounds) {
+          const std::uint64_t seed = 0x5EED + static_cast<std::uint64_t>(t);
+          rng::Xoshiro256 model_gen(rng::hash_combine(seed, 0xB0u));
+          model->begin_round(t, deficits, demands, model_gen);
+          const FeedbackAccess fb(*model, t, deficits, demands, seed, mask);
+          for (const auto& [first, len] : blocks) {
+            out.assign(len, 0xDEAD);
+            fb.sample_lack_masks(first, out, lane);
+            // Wants: everything, nothing, one task, bits past k, random.
+            want.resize(len);
+            const auto one_task = [&](std::size_t a) {
+              return 1ull << (a % static_cast<std::size_t>(k));
+            };
+            for (std::size_t a = 0; a < len; ++a) {
+              const std::uint64_t wants[] = {~0ull, 0, one_task(a), ~all,
+                                             want_gen()};
+              want[a] = wants[a % 5];
+            }
+            std::vector<std::uint64_t> wanted(len, 0xBEEF);
+            fb.sample_lack_masks(first, want, wanted, lane);
+            for (std::size_t a = 0; a < len; ++a) {
+              const std::int64_t ant = first + static_cast<std::int64_t>(a);
+              const std::uint64_t expected = fb.sample_lack_mask(ant);
+              ASSERT_EQ(out[a], expected)
+                  << "t=" << t << " ant=" << ant << " len=" << len;
+              ASSERT_EQ(wanted[a], expected & want[a])
+                  << "t=" << t << " ant=" << ant << " want=" << want[a];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A marginal model whose lack probability for task j is a fixed p_j.
+class FixedProbabilities final : public FeedbackModel {
+ public:
+  explicit FixedProbabilities(std::vector<double> ps) : ps_(std::move(ps)) {}
+  std::string_view name() const override { return "fixed"; }
+  double lack_probability(Round, TaskId j, double, double) const override {
+    return ps_[static_cast<std::size_t>(j)];
+  }
+  bool samples_marginal() const override { return true; }
+
+ private:
+  std::vector<double> ps_;
+};
+
+// Probabilities at the edges of the integer threshold, against the float
+// compare the threshold replaces: Xoshiro256(cell seed).uniform() < p.
+TEST_P(LackLaneTest, BlockDrawMatchesUniformCompareAtEdgeProbabilities) {
+  const std::vector<double> ps = {0.0,
+                                  0x1p-53,
+                                  std::nextafter(1.0, 0.0),
+                                  1.0,
+                                  1.5,
+                                  -0.5,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  0.5,
+                                  0.3};
+  FixedProbabilities fm(ps);
+  const std::vector<double> deficits(ps.size(), 0.0);
+  const std::vector<Count> demands(ps.size(), Count{1});
+  const std::uint64_t seed = 123;
+  const Round t = 45;
+  const FeedbackAccess fb(fm, t, deficits, demands, seed);
+  std::vector<std::uint64_t> out(1000);
+  const std::int64_t first = (std::int64_t{1} << 40) - 500;
+  fb.sample_lack_masks(first, out, GetParam().lane);
+  for (std::size_t a = 0; a < out.size(); ++a) {
+    const auto ant = static_cast<std::uint64_t>(first) + a;
+    std::uint64_t expected = 0;
+    for (std::size_t j = 0; j < ps.size(); ++j) {
+      rng::Xoshiro256 gen(
+          rng::hash_words(seed, static_cast<std::uint64_t>(t), ant, j));
+      if (gen.uniform() < ps[j]) expected |= 1ull << j;
+    }
+    ASSERT_EQ(out[a], expected) << "ant " << ant;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Lanes, LackLaneTest, ::testing::ValuesIn(every_lane()),
+    [](const ::testing::TestParamInfo<NamedLane>& info) {
+      return info.param.name;
+    });
+
+TEST(FeedbackAccess, ForEachLackMaskVisitsEveryAntInOrder) {
+  SigmoidFeedback fm(0.3);
+  const std::vector<double> deficits{3.0, -2.0, 0.0, 8.0};
+  const std::vector<Count> demands(4, Count{50});
+  const FeedbackAccess fb(fm, 9, deficits, demands, 4, 0b1011);
+  for (const std::int64_t n : {0, 1, 63, 64, 65, 200}) {
+    std::int64_t next = 0;
+    fb.for_each_lack_mask(
+        n, [](std::int64_t i) { return i % 3 == 0 ? ~0ull : 1ull << (i % 4); },
+        [&](std::int64_t i, std::uint64_t lack) {
+          ASSERT_EQ(i, next++);
+          const std::uint64_t want = i % 3 == 0 ? ~0ull : 1ull << (i % 4);
+          ASSERT_EQ(lack, fb.sample_lack_mask(i) & want) << "ant " << i;
+        });
+    EXPECT_EQ(next, n);
   }
 }
 

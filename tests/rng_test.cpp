@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -50,18 +51,69 @@ TEST(SplitMix, HashCombineEqualsKeyTermThenCombine) {
   }
 }
 
-TEST(Xoshiro, FirstUniformEqualsExpandedGenerator) {
+TEST(Xoshiro, FirstOutputEqualsExpandedGenerator) {
   std::uint64_t sm = 9;
   for (int i = 0; i < 100'000; ++i) {
     // 0, 2^64 - 1 and 2^64 - 2 first, then well-mixed seeds.
     const std::uint64_t seed =
         i < 3 ? std::uint64_t{0} - static_cast<std::uint64_t>(i)
               : splitmix64_next(sm);
-    ASSERT_EQ(Xoshiro256::first_uniform(seed), Xoshiro256(seed).uniform())
+    ASSERT_EQ(Xoshiro256::first_output(seed), Xoshiro256(seed)())
         << "seed " << seed;
   }
-  static_assert(Xoshiro256::first_uniform(12345) ==
-                Xoshiro256(12345).uniform());
+  static_assert(Xoshiro256::first_output(12345) == Xoshiro256(12345)());
+}
+
+// lack_threshold turns `m * 2^-53 < p` (what uniform() < p compares, with m
+// the top 53 bits of an output) into an integer compare. Pins the identity
+// for random m and every edge of p.
+TEST(Xoshiro, LackThresholdMatchesUniformCompare) {
+  const double one_minus_ulp = std::nextafter(1.0, 0.0);
+  std::vector<double> ps = {0.0,
+                            -0.0,
+                            0x1p-53,
+                            std::nextafter(0x1p-53, 0.0),
+                            std::nextafter(0x1p-53, 1.0),
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min(),
+                            0.25,
+                            0.5,
+                            1.0 / 3.0,
+                            one_minus_ulp,
+                            1.0,
+                            std::nextafter(1.0, 2.0),
+                            1.5,
+                            1e300,
+                            std::numeric_limits<double>::infinity(),
+                            -0.5,
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  Xoshiro256 gen(77);
+  for (int i = 0; i < 200; ++i) ps.push_back(gen.uniform());
+  EXPECT_EQ(lack_threshold(0.0), 0u);
+  EXPECT_EQ(lack_threshold(-0.5), 0u);
+  EXPECT_EQ(lack_threshold(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(lack_threshold(0x1p-53), 1u);
+  EXPECT_EQ(lack_threshold(one_minus_ulp), (std::uint64_t{1} << 53) - 1);
+  EXPECT_EQ(lack_threshold(1.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(lack_threshold(1.5), std::uint64_t{1} << 53);
+
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 53) - 1;
+  for (const double p : ps) {
+    const std::uint64_t below = lack_threshold(p);
+    // The m right at and around the threshold, the extremes, then random m.
+    std::vector<std::uint64_t> ms = {0, 1, kTop - 1, kTop};
+    for (const std::uint64_t d : {std::uint64_t{0}, std::uint64_t{1},
+                                  std::uint64_t{2}}) {
+      if (below >= d && below - d <= kTop) ms.push_back(below - d);
+      if (below + d <= kTop) ms.push_back(below + d);
+    }
+    for (int r = 0; r < 2'000; ++r) ms.push_back(gen() >> 11);
+    for (const std::uint64_t m : ms) {
+      ASSERT_EQ(m < below, static_cast<double>(m) * 0x1p-53 < p)
+          << "p=" << p << " m=" << m;
+    }
+  }
 }
 
 TEST(Xoshiro, SameSeedSameStream) {
