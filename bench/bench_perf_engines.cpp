@@ -122,6 +122,40 @@ void BM_LackMaskBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_LackMaskBlock)->Arg(1 << 14);
 
+// A mostly-working colony: one ant in 20 is idle and reads every task, the
+// rest read only their own — the wants precise-adversarial, ant, trivial and
+// precise-sigmoid pass. Args: k, then 1 for the SIMD lane or 0 for the
+// per-ant fallback, which draws only the wanted cells.
+void BM_LackMaskWorking(benchmark::State& state) {
+  const Count n = 1 << 14;
+  const auto k = static_cast<std::int32_t>(state.range(0));
+  const rng::LackLane lane = state.range(1) != 0 ? rng::kLackLane : nullptr;
+  if (state.range(1) != 0 && lane == nullptr) {
+    state.SkipWithError("CPU has no SIMD lane");
+    return;
+  }
+  SigmoidFeedback fm(0.05);
+  const std::vector<double> deficits(static_cast<std::size_t>(k), 5.0);
+  const std::vector<Count> demand_counts(static_cast<std::size_t>(k),
+                                         Count{64});
+  std::vector<std::uint64_t> want(static_cast<std::size_t>(n));
+  for (Count i = 0; i < n; ++i) {
+    want[static_cast<std::size_t>(i)] = own_task_or_all(
+        i % 20 == 0 ? kIdle : static_cast<TaskId>((i * 7) % k));
+  }
+  std::vector<std::uint64_t> out(want.size());
+  Round t = 1;
+  for (auto _ : state) {
+    const FeedbackAccess fb(fm, t, deficits, demand_counts, 3);
+    fb.sample_lack_masks(0, want, out, lane);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    ++t;
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_LackMaskWorking)->ArgsProduct({{4, 16, 64}, {0, 1}});
+
 // The engine's fused loads+switches diff over a double-buffered assignment
 // pair (what replaced the per-round recount-from-zero).
 void BM_SwitchRecount(benchmark::State& state) {

@@ -120,29 +120,25 @@ class FeedbackAccess {
     return mask & active_mask_;
   }
 
-  // out[a] == sample_lack_mask(first_ant + a), bit for bit. Marginal models
-  // run `lane`, by default the widest SIMD lane this CPU has; without one
-  // (nullptr), and for every other model, this is the per-ant loop. Tests
-  // pass each lane by name.
-  void sample_lack_masks(std::int64_t first_ant, std::span<std::uint64_t> out,
-                         rng::LackLane lane = rng::kLackLane) const {
-    if (draw_lane(lane, first_ant, out)) return;
-    for (std::size_t a = 0; a < out.size(); ++a) {
-      out[a] = sample_lack_mask(first_ant + static_cast<std::int64_t>(a));
-    }
-  }
-
-  // out[a] == sample_lack_mask(first_ant + a) & want[a]: the same bits,
-  // restricted to the tasks the caller reads (e.g. 1 << ct for a working
-  // ant). The lane draws every task and masks at the end; the per-ant
-  // fallback draws only the wanted cells, so an ant that reads one task
-  // pays for one cell. want.size() must equal out.size().
+  // out[a] == sample_lack_mask(first_ant + a) & want[a], bit for bit: the
+  // lack masks of a block of ants, restricted to the tasks the caller reads
+  // (e.g. 1 << ct for a working ant). Marginal models run `lane`, by default
+  // the widest SIMD lane this CPU has; without one (nullptr), and for every
+  // other model, this is the per-ant loop. Either way an ant that wants one
+  // task costs one cell. Tests pass each lane by name. want.size() must
+  // equal out.size().
   void sample_lack_masks(std::int64_t first_ant,
                          std::span<const std::uint64_t> want,
                          std::span<std::uint64_t> out,
                          rng::LackLane lane = rng::kLackLane) const {
-    if (draw_lane(lane, first_ant, out)) {
-      for (std::size_t a = 0; a < out.size(); ++a) out[a] &= want[a];
+    if (samples_marginal_ && lane != nullptr) {
+      const auto k = static_cast<std::size_t>(num_tasks());
+      const rng::LackStream stream{
+          .round_key = round_key_,
+          .task_keys = std::span(task_key_).first(k),
+          .thresholds = std::span(lack_below_).first(k),
+          .tasks = live_mask_};
+      lane(stream, static_cast<std::uint64_t>(first_ant), want, out);
       return;
     }
     for (std::size_t a = 0; a < out.size(); ++a) {
@@ -183,21 +179,6 @@ class FeedbackAccess {
 
  private:
   static constexpr std::size_t kLackBlock = 64;
-
-  // The SIMD block draw, for marginal models and a non-null lane: writes
-  // the masked lack masks of ants first_ant.. into out and returns true.
-  bool draw_lane(rng::LackLane lane, std::int64_t first_ant,
-                 std::span<std::uint64_t> out) const {
-    if (!samples_marginal_ || lane == nullptr) return false;
-    const auto k = static_cast<std::size_t>(num_tasks());
-    const rng::LackStream stream{
-        .round_key = round_key_,
-        .task_keys = std::span(task_key_).first(k),
-        .thresholds = std::span(lack_below_).first(k)};
-    lane(stream, static_cast<std::uint64_t>(first_ant), out);
-    for (std::uint64_t& m : out) m &= active_mask_;
-    return true;
-  }
 
   // hash_words(seed, t, ant) — the per-ant prefix of every cell seed.
   std::uint64_t ant_key(std::int64_t ant) const {

@@ -22,11 +22,16 @@ struct LackStream {
   std::uint64_t round_key = 0;                 // hash_combine(seed, t)
   std::span<const std::uint64_t> task_keys;    // hash_key_term(j), size k
   std::span<const std::uint64_t> thresholds;   // lack_threshold(p_j), size k
+  // The tasks that may report lack (active, below k); no other bit is drawn.
+  std::uint64_t tasks = 0;
 };
 
-// Writes the unmasked lack mask of ants first_ant, first_ant + 1, ... into
-// out (bit j = task j lacks). k <= 64.
+// Writes the lack masks of ants first_ant, first_ant + 1, ... into out
+// (bit j = task j lacks), restricted to want[a] & stream.tasks: a lane draws
+// one cell for an ant that wants a single task, and for the others every
+// task some ant of its 64-ant block wants. want.size() == out.size().
 using LackLane = void (*)(const LackStream& stream, std::uint64_t first_ant,
+                          std::span<const std::uint64_t> want,
                           std::span<std::uint64_t> out);
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -35,10 +40,10 @@ using LackLane = void (*)(const LackStream& stream, std::uint64_t first_ant,
 // Callers must gate on the CPU, as kLackLane does; tests call them by name.
 [[gnu::target("arch=x86-64-v4")]] void lack_lane_v4(
     const LackStream& stream, std::uint64_t first_ant,
-    std::span<std::uint64_t> out);
+    std::span<const std::uint64_t> want, std::span<std::uint64_t> out);
 [[gnu::target("arch=x86-64-v3")]] void lack_lane_v3(
     const LackStream& stream, std::uint64_t first_ant,
-    std::span<std::uint64_t> out);
+    std::span<const std::uint64_t> want, std::span<std::uint64_t> out);
 
 namespace detail {
 inline LackLane pick_lack_lane() {
@@ -52,8 +57,7 @@ inline LackLane pick_lack_lane() {
 // The widest lane this CPU runs, resolved once at startup (namespace-scope
 // initialization, like kHasBmi2 in core/bits.h). nullptr means none, and
 // callers fall back to the per-ant loop: a baseline-ISA (SSE2) build of the
-// block body is barely faster than that loop, which unlike a lane draws only
-// the cells its caller reads.
+// block body is barely faster than that loop.
 inline const LackLane kLackLane = detail::pick_lack_lane();
 
 #else

@@ -270,26 +270,37 @@ TEST_P(LackLaneTest, BlockDrawEqualsPerAntMaskForEveryModel) {
           const FeedbackAccess fb(*model, t, deficits, demands, seed, mask);
           for (const auto& [first, len] : blocks) {
             out.assign(len, 0xDEAD);
-            fb.sample_lack_masks(first, out, lane);
-            // Wants: everything, nothing, one task, bits past k, random.
-            want.resize(len);
+            fb.sample_lack_masks(first, std::vector<std::uint64_t>(len, ~0ull),
+                                 out, lane);
+            for (std::size_t a = 0; a < len; ++a) {
+              const std::int64_t ant = first + static_cast<std::int64_t>(a);
+              ASSERT_EQ(out[a], fb.sample_lack_mask(ant))
+                  << "t=" << t << " ant=" << ant << " len=" << len;
+            }
+            // Wants of a mixed block (everything, nothing, one task, bits
+            // past k, random); of a working colony (one task each, one idle
+            // ant in 23, so short blocks hold no idle ant at all); and of
+            // idle ants that each want their own set of several tasks.
             const auto one_task = [&](std::size_t a) {
               return 1ull << (a % static_cast<std::size_t>(k));
             };
-            for (std::size_t a = 0; a < len; ++a) {
-              const std::uint64_t wants[] = {~0ull, 0, one_task(a), ~all,
-                                             want_gen()};
-              want[a] = wants[a % 5];
-            }
-            std::vector<std::uint64_t> wanted(len, 0xBEEF);
-            fb.sample_lack_masks(first, want, wanted, lane);
-            for (std::size_t a = 0; a < len; ++a) {
-              const std::int64_t ant = first + static_cast<std::int64_t>(a);
-              const std::uint64_t expected = fb.sample_lack_mask(ant);
-              ASSERT_EQ(out[a], expected)
-                  << "t=" << t << " ant=" << ant << " len=" << len;
-              ASSERT_EQ(wanted[a], expected & want[a])
-                  << "t=" << t << " ant=" << ant << " want=" << want[a];
+            for (const int shape : {0, 1, 2}) {
+              want.resize(len);
+              for (std::size_t a = 0; a < len; ++a) {
+                const std::uint64_t mixed[] = {~0ull, 0, one_task(a), ~all,
+                                               want_gen()};
+                want[a] = shape == 0   ? mixed[a % 5]
+                          : shape == 1 ? (a % 23 == 22 ? ~0ull : one_task(a))
+                                       : want_gen() | 0b11;
+              }
+              std::vector<std::uint64_t> wanted(len, 0xBEEF);
+              fb.sample_lack_masks(first, want, wanted, lane);
+              for (std::size_t a = 0; a < len; ++a) {
+                const std::int64_t ant = first + static_cast<std::int64_t>(a);
+                ASSERT_EQ(wanted[a], fb.sample_lack_mask(ant) & want[a])
+                    << "t=" << t << " ant=" << ant << " want=" << want[a]
+                    << " shape=" << shape;
+              }
             }
           }
         }
@@ -332,7 +343,8 @@ TEST_P(LackLaneTest, BlockDrawMatchesUniformCompareAtEdgeProbabilities) {
   const FeedbackAccess fb(fm, t, deficits, demands, seed);
   std::vector<std::uint64_t> out(1000);
   const std::int64_t first = (std::int64_t{1} << 40) - 500;
-  fb.sample_lack_masks(first, out, GetParam().lane);
+  fb.sample_lack_masks(first, std::vector<std::uint64_t>(out.size(), ~0ull),
+                       out, GetParam().lane);
   for (std::size_t a = 0; a < out.size(); ++a) {
     const auto ant = static_cast<std::uint64_t>(first) + a;
     std::uint64_t expected = 0;

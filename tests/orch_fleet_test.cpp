@@ -4,13 +4,20 @@
 // CampaignResult::to_csv() is BYTE-identical to an unsharded run_campaign
 // of the same spec, no matter how many workers served the fleet, died
 // mid-lease, or straggled past their deadlines. Also pins the journal
-// resume path (a restarted coordinator re-leases only the missing cells)
-// and the coordinator's reply codes on bad traffic.
+// resume path (a restarted coordinator re-leases only the missing cells),
+// the coordinator's reply codes on bad traffic, and — against a scripted
+// coordinator — how a worker handles a revoked lease.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,6 +29,7 @@
 #include "net/server.h"
 #include "orch/coordinator.h"
 #include "orch/worker.h"
+#include "parallel/thread_pool.h"
 #include "rng/splitmix.h"
 #include "sim/campaign.h"
 #include "testing_util.h"
@@ -75,6 +83,86 @@ struct WorkerThread {
     if (thread.joinable()) thread.join();
   }
   void join() { thread.join(); }
+};
+
+// The coordinator's side of one worker connection, scripted by the test:
+// listens on an ephemeral loopback port, accepts a single peer, exchanges
+// hellos, then sends and receives whole net/protocol.h messages. Lets a
+// test put a real run_worker through an exact sequence of frames.
+class ScriptedCoordinator {
+ public:
+  ScriptedCoordinator() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (listen_fd_ < 0 ||
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::listen(listen_fd_, 1) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
+            0) {
+      throw ProtocolIoError("scripted coordinator: listen failed");
+    }
+    port_ = ntohs(addr.sin_port);
+  }
+  ~ScriptedCoordinator() {
+    if (fd_ >= 0) ::close(fd_);
+    ::close(listen_fd_);
+  }
+
+  std::uint16_t port() const { return port_; }
+
+  // Blocks until the worker connects, then swaps hellos.
+  void accept() {
+    fd_ = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd_ < 0) throw ProtocolIoError("scripted coordinator: accept failed");
+    write_all(encode_hello());
+    std::array<std::uint8_t, kHelloBytes> hello{};
+    read_exact(hello.data(), hello.size());
+    check_hello(hello);
+  }
+
+  void send(const Message& m) { write_all(encode_frame(m, send_seq_++)); }
+
+  Message recv() {
+    while (true) {
+      std::size_t consumed = 0;
+      std::optional<Frame> frame = try_decode_frame(inbuf_, &consumed);
+      if (frame.has_value()) {
+        inbuf_.erase(inbuf_.begin(),
+                     inbuf_.begin() + static_cast<std::ptrdiff_t>(consumed));
+        return decode_message(*frame);
+      }
+      std::uint8_t chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) throw ProtocolIoError("scripted coordinator: peer gone");
+      inbuf_.insert(inbuf_.end(), chunk, chunk + n);
+    }
+  }
+
+ private:
+  void write_all(std::span<const std::uint8_t> bytes) {
+    for (std::size_t off = 0; off < bytes.size();) {
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
+      if (n <= 0) throw ProtocolIoError("scripted coordinator: send failed");
+      off += static_cast<std::size_t>(n);
+    }
+  }
+  void read_exact(std::uint8_t* out, std::size_t len) {
+    for (std::size_t got = 0; got < len;) {
+      const ssize_t n = ::recv(fd_, out + got, len - got, 0);
+      if (n <= 0) throw ProtocolIoError("scripted coordinator: peer gone");
+      got += static_cast<std::size_t>(n);
+    }
+  }
+
+  int listen_fd_ = -1;
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::uint32_t send_seq_ = 0;
+  std::vector<std::uint8_t> inbuf_;
 };
 
 TEST(OrchFleet, ThreeWorkersMergeBitIdenticalToUnsharded) {
@@ -204,6 +292,70 @@ TEST(OrchFleet, StragglerDeadlineRevokesAndStillMergesExact) {
   // thread before it served any worker.
   EXPECT_GE(stats.leases_expired, 1u);
   server.stop();
+}
+
+TEST(OrchFleet, RevokedLeaseStopsTheWorkerAndItAsksForFreshWork) {
+  // The worker's side of a revocation, with no deadline involved: a
+  // scripted coordinator grants one lease over every cell and revokes it as
+  // soon as the first cell result arrives, which proves the worker is
+  // computing that very lease. The revocation must stop the run at the next
+  // replicate boundary, be counted as such, and send the worker back for a
+  // fresh lease, which the coordinator answers with done. The lease holds
+  // 16 single-replicate cells on two executor threads, so the cells still
+  // to run when the first one ships take far longer than the revocation's
+  // trip over loopback.
+  JobSpec job = fleet_job();
+  job.scenarios = {"constant",   "single-shock", "staircase",
+                   "day-night",  "ramp-drift",   "seasonal",
+                   "task-birth", "task-churn"};
+  job.replicates = 1;
+  job.rounds = 200'000;
+  const CampaignConfig cfg = campaign_from_job(job);
+  const std::size_t total = campaign_total_cells(cfg);
+  ASSERT_EQ(total, 16u);
+
+  // Declared before the coordinator so that, should an assertion end the
+  // test early, the coordinator's socket closes first and the worker
+  // thread sees EOF instead of blocking its join.
+  ThreadPool pool(1);
+  std::optional<WorkerThread> worker;
+  ScriptedCoordinator coordinator;
+  worker.emplace(coordinator.port(), WorkerOptions{.name = "w", .pool = &pool});
+  coordinator.accept();
+  ASSERT_TRUE(std::holds_alternative<LeaseRequest>(coordinator.recv()));
+  const std::uint64_t lease_id = 7;
+  coordinator.send(Message{LeaseGrant{.lease_id = lease_id,
+                                      .config_hash = campaign_config_hash(cfg),
+                                      .first_cell = 0,
+                                      .cell_count = total,
+                                      .deadline_ms = 60'000,
+                                      .job = job}});
+
+  const Message first = coordinator.recv();
+  ASSERT_TRUE(std::holds_alternative<CellResult>(first));
+  EXPECT_EQ(std::get<CellResult>(first).lease_id, lease_id);
+  coordinator.send(Message{LeaseRevoked{.lease_id = lease_id,
+                                        .reason = "straggler"}});
+
+  // Cells already folding may still ship; then comes the fresh request.
+  std::size_t shipped = 1;
+  Message next = coordinator.recv();
+  while (const auto* late = std::get_if<CellResult>(&next)) {
+    EXPECT_EQ(late->lease_id, lease_id);
+    ++shipped;
+    next = coordinator.recv();
+  }
+  ASSERT_TRUE(std::holds_alternative<LeaseRequest>(next));
+  EXPECT_LT(shipped, total);  // the revocation cut the lease short
+  coordinator.send(Message{LeaseGrant{.done = 1, .job = {}}});
+
+  worker->join();
+  EXPECT_EQ(worker->error, "");
+  ASSERT_TRUE(worker->report.has_value());
+  EXPECT_EQ(worker->report->leases_revoked, 1u);
+  EXPECT_EQ(worker->report->leases_completed, 0u);
+  EXPECT_EQ(worker->report->cells_shipped, shipped);
+  EXPECT_FALSE(worker->report->died);
 }
 
 TEST(OrchFleet, JournalResumeReleasesOnlyMissingCells) {
