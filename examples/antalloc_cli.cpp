@@ -41,6 +41,7 @@
 #include "parallel/task_graph.h"
 #include "sim/campaign.h"
 
+#include "daemon_mode.h"
 #include "fleet_modes.h"
 #include "job_flags.h"
 
@@ -222,16 +223,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: --serve port must be in [0, 65535]\n");
       return 2;
     }
-    DaemonOptions opts;
-    opts.port = static_cast<std::uint16_t>(serve_port);
-    block_termination_signals();
-    DaemonServer server(opts);
-    server.start();
-    std::printf("antalloc daemon listening on 127.0.0.1:%u\n", server.port());
-    std::fflush(stdout);
-    wait_for_termination();
-    server.stop();
-    return 0;
+    return run_daemon_mode(
+        DaemonOptions{.port = static_cast<std::uint16_t>(serve_port)});
   }
 
   // Registry listings: the discoverability entry points (no run needed).

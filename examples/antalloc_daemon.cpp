@@ -12,8 +12,8 @@
 // exits 0 — safe to drive from scripts (the CI daemon smoke job does).
 #include <cstdio>
 
+#include "daemon_mode.h"
 #include "io/args.h"
-#include "net/server.h"
 #include "parallel/task_graph.h"
 
 using namespace antalloc;
@@ -47,29 +47,5 @@ int main(int argc, char** argv) {
   opts.port = static_cast<std::uint16_t>(port);
   opts.max_queue_bytes = static_cast<std::size_t>(max_queue);
   opts.send_buffer_bytes = static_cast<int>(sndbuf);
-
-  block_termination_signals();  // before start(): threads inherit the mask
-  DaemonServer server(opts);
-  try {
-    server.start();
-  } catch (const ProtocolError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  std::printf("antalloc daemon listening on 127.0.0.1:%u\n", server.port());
-  std::fflush(stdout);
-
-  const int sig = wait_for_termination();
-  std::fprintf(stderr, "[daemon] signal %d: draining jobs and stopping\n",
-               sig);
-  server.stop();
-  const DaemonServer::Stats stats = server.stats();
-  std::fprintf(stderr,
-               "[daemon] %llu connections, %llu jobs accepted, %llu "
-               "rejected, %llu evictions\n",
-               static_cast<unsigned long long>(stats.connections_accepted),
-               static_cast<unsigned long long>(stats.jobs_accepted),
-               static_cast<unsigned long long>(stats.jobs_rejected),
-               static_cast<unsigned long long>(stats.evictions));
-  return 0;
+  return run_daemon_mode(opts);
 }

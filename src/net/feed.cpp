@@ -20,6 +20,22 @@ CellUpdate cell_update_from(const CampaignCell& cell) {
   return u;
 }
 
+CampaignCell cell_from_update(const CellUpdate& u,
+                              std::span<const MetricScalar> specs) {
+  CampaignCell cell;
+  cell.flat_index = static_cast<std::size_t>(u.flat_index);
+  cell.scenario = u.scenario;
+  cell.algo = u.algo;
+  cell.noise = u.noise;
+  cell.engine = u.engine;
+  cell.metric_stats.reserve(u.stats.size());
+  for (const RunningStats::State& s : u.stats) {
+    cell.metric_stats.push_back(RunningStats::from_state(s));
+  }
+  cell.fill_legacy_views(specs);
+  return cell;
+}
+
 JobFeed::JobFeed(FrameSink* sink, std::uint64_t job_id,
                  std::uint64_t config_hash, std::uint64_t cells_total,
                  std::int64_t replicates, std::vector<std::string> metrics)

@@ -1,16 +1,8 @@
 #include "net/server.h"
 
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <csignal>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -24,21 +16,6 @@
 #include "sim/scenario.h"
 
 namespace antalloc {
-
-namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw ProtocolIoError(what + ": " + std::strerror(errno));
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw_errno("fcntl(O_NONBLOCK)");
-  }
-}
-
-}  // namespace
 
 void block_termination_signals() {
   sigset_t set;
@@ -155,21 +132,7 @@ CampaignConfig campaign_from_job(const JobSpec& job) {
   return cfg;
 }
 
-// Connection and job state. --------------------------------------------------
-
-struct DaemonServer::Connection {
-  std::uint64_t id = 0;
-  int fd = -1;
-  // Poll-thread-only read state.
-  std::vector<std::uint8_t> inbuf;
-  std::size_t in_head = 0;  // parsed prefix of inbuf
-  bool hello_ok = false;
-  // Write state, guarded by io_mutex_ (executor threads publish here).
-  std::vector<std::uint8_t> outbuf;
-  std::size_t out_head = 0;  // flushed prefix of outbuf
-  std::uint32_t next_seq = 0;
-  bool dead = false;  // socket failed or evicted; the poll thread reaps it
-};
+// Job state. -----------------------------------------------------------------
 
 struct DaemonServer::Job {
   Job(FrameSink* sink, std::uint64_t id, std::uint64_t config_hash,
@@ -189,45 +152,14 @@ struct DaemonServer::Job {
 
 // Lifecycle. -----------------------------------------------------------------
 
-DaemonServer::DaemonServer(DaemonOptions opts) : opts_(opts) {}
+DaemonServer::DaemonServer(DaemonOptions opts) : reactor_(*this, opts) {}
 
 DaemonServer::~DaemonServer() { stop(); }
 
-void DaemonServer::start() {
-  if (running_.exchange(true)) {
-    throw std::logic_error("DaemonServer::start called twice");
-  }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(opts_.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    throw_errno("bind");
-  }
-  if (::listen(listen_fd_, opts_.listen_backlog) < 0) throw_errno("listen");
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
-      0) {
-    throw_errno("getsockname");
-  }
-  port_ = ntohs(addr.sin_port);
-  set_nonblocking(listen_fd_);
-
-  if (::pipe(wake_fds_) < 0) throw_errno("pipe");
-  set_nonblocking(wake_fds_[0]);
-  set_nonblocking(wake_fds_[1]);
-
-  poll_thread_ = std::thread([this] { poll_loop(); });
-}
+void DaemonServer::start() { reactor_.start(); }
 
 void DaemonServer::stop() {
-  if (!running_.load()) return;
+  if (!reactor_.running()) return;
   // 1. Refuse new jobs (the command core checks stopping_ per submit).
   stopping_.store(true);
   // 2. Drain running campaigns — their final JobDone frames still go out.
@@ -236,266 +168,54 @@ void DaemonServer::stop() {
     jobs_drained_.wait(lock, [this] { return active_jobs_ == 0; });
   }
   // 3. Stop the poll thread (it makes one best-effort flush pass on exit).
-  running_.store(false);
-  wake_poll();
-  if (poll_thread_.joinable()) poll_thread_.join();
-
-  std::lock_guard<std::mutex> lock(io_mutex_);
-  for (auto& [id, conn] : conns_) {
-    if (conn->fd >= 0) ::close(conn->fd);
-  }
-  conns_.clear();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
-  for (int& fd : wake_fds_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
+  reactor_.stop();
 }
 
 DaemonServer::Stats DaemonServer::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
-
-void DaemonServer::wake_poll() {
-  const char b = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &b, 1);
-}
-
-// Publishing (any thread). ---------------------------------------------------
-
-FrameSink::Send DaemonServer::send_message(
-    std::uint64_t conn_id, MsgType type,
-    std::span<const std::uint8_t> payload) {
-  bool evicted = false;
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end() || it->second->dead) return Send::kGone;
-    Connection& conn = *it->second;
-    const std::vector<std::uint8_t> frame =
-        wrap_frame(type, conn.next_seq++, payload);
-    conn.outbuf.insert(conn.outbuf.end(), frame.begin(), frame.end());
-    if (!flush_locked(conn)) {
-      conn.dead = true;
-      wake_poll();
-      return Send::kGone;
-    }
-    if (conn.outbuf.size() - conn.out_head > opts_.max_queue_bytes) {
-      conn.dead = true;
-      evicted = true;
-      wake_poll();
-    }
-  }
-  if (evicted) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.evictions;
-    return Send::kEvicted;
-  }
-  return Send::kOk;
-}
-
-bool DaemonServer::flush_locked(Connection& conn) {
-  while (conn.out_head < conn.outbuf.size()) {
-    const ssize_t n =
-        ::send(conn.fd, conn.outbuf.data() + conn.out_head,
-               conn.outbuf.size() - conn.out_head, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out_head += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    if (n < 0 && errno == EINTR) continue;
-    return false;  // peer gone or hard error
-  }
-  conn.outbuf.clear();
-  conn.out_head = 0;
-  return true;
-}
-
-// Poll thread. ---------------------------------------------------------------
-
-void DaemonServer::poll_loop() {
-  while (running_.load()) {
-    std::vector<pollfd> fds;
-    std::vector<std::uint64_t> ids;  // parallel to fds from index 2
-    fds.push_back({listen_fd_, POLLIN, 0});
-    fds.push_back({wake_fds_[0], POLLIN, 0});
-    std::vector<std::uint64_t> reap;
-    {
-      std::lock_guard<std::mutex> lock(io_mutex_);
-      for (auto& [id, conn] : conns_) {
-        if (conn->dead) {
-          reap.push_back(id);
-          continue;
-        }
-        short events = POLLIN;
-        if (conn->out_head < conn->outbuf.size()) events |= POLLOUT;
-        fds.push_back({conn->fd, events, 0});
-        ids.push_back(id);
-      }
-    }
-    for (const std::uint64_t id : reap) close_connection(id);
-
-    const int ready = ::poll(fds.data(), fds.size(), 200);
-    if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0) continue;
-
-    if (fds[1].revents != 0) {  // drain the self-pipe
-      char buf[64];
-      while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    if (fds[0].revents != 0) accept_connections();
-
-    for (std::size_t i = 2; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      const std::uint64_t id = ids[i - 2];
-      Connection* conn = nullptr;
-      bool dead = false;
-      {
-        std::lock_guard<std::mutex> lock(io_mutex_);
-        auto it = conns_.find(id);
-        if (it == conns_.end() || it->second->dead) continue;
-        conn = it->second.get();
-        if ((fds[i].revents & POLLOUT) != 0 && !flush_locked(*conn)) {
-          conn->dead = true;
-        }
-        dead = conn->dead;
-      }
-      if (dead) {
-        close_connection(id);
-        continue;
-      }
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        // Input is serviced WITHOUT io_mutex_: command handlers re-enter
-        // send_message (via feeds), which takes it. The pointer stays valid
-        // because only this thread erases from conns_.
-        if (!service_input(*conn)) close_connection(id);
-      }
-    }
-  }
-
-  // Exit pass: one last opportunistic flush so terminal frames queued during
-  // the drain reach subscribers that are still reading.
-  std::lock_guard<std::mutex> lock(io_mutex_);
-  for (auto& [id, conn] : conns_) {
-    if (!conn->dead) flush_locked(*conn);
-  }
-}
-
-void DaemonServer::accept_connections() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-      return;  // transient accept failures are not fatal to the daemon
-    }
-    set_nonblocking(fd);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (opts_.send_buffer_bytes > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.send_buffer_bytes,
-                   sizeof(opts_.send_buffer_bytes));
-    }
-
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    // The server's hello goes out first (raw bytes, outside any frame).
-    const auto hello = encode_hello();
-    conn->outbuf.assign(hello.begin(), hello.end());
-
-    std::uint64_t id = 0;
-    {
-      std::lock_guard<std::mutex> lock(io_mutex_);
-      id = next_conn_id_++;
-      conn->id = id;
-      if (!flush_locked(*conn)) conn->dead = true;
-      conns_.emplace(id, std::move(conn));
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections_accepted;
-    }
-  }
-}
-
-bool DaemonServer::service_input(Connection& conn) {
-  // Drain first, parse second: a client's last frames and its FIN can land
-  // in the same poll event (send + immediate close), and those frames must
-  // still be handled before the connection is declared gone.
-  bool open = true;
-  std::uint8_t buf[64 * 1024];
-  while (open) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.inbuf.insert(conn.inbuf.end(), buf, buf + n);
-      continue;
-    }
-    if (n == 0) {
-      open = false;  // EOF — after the buffered frames are handled
-    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      break;
-    } else if (errno != EINTR) {
-      open = false;
-    }
-  }
-
-  try {
-    if (!conn.hello_ok) {
-      if (conn.inbuf.size() - conn.in_head < kHelloBytes) return open;
-      check_hello(std::span<const std::uint8_t>(conn.inbuf)
-                      .subspan(conn.in_head, kHelloBytes));
-      conn.in_head += kHelloBytes;
-      conn.hello_ok = true;
-    }
-    while (true) {
-      std::size_t consumed = 0;
-      std::optional<Frame> frame = try_decode_frame(
-          std::span<const std::uint8_t>(conn.inbuf).subspan(conn.in_head),
-          &consumed);
-      if (!frame.has_value()) break;
-      conn.in_head += consumed;
-      handle_message(conn, decode_message(*frame));
-    }
-  } catch (const ProtocolError& e) {
-    // Best-effort diagnostic, then close: a damaged stream has no reliable
-    // resynchronization point.
-    reply(conn, Message{ErrorMsg{.code = 400, .message = e.what()}});
-    return false;
-  }
-
-  if (conn.in_head > 0) {  // compact the parsed prefix
-    conn.inbuf.erase(conn.inbuf.begin(),
-                     conn.inbuf.begin() +
-                         static_cast<std::ptrdiff_t>(conn.in_head));
-    conn.in_head = 0;
-  }
-  return open;
+  const Reactor::Stats io = reactor_.stats();
+  std::lock_guard<std::mutex> lock(jobs_mutex_);
+  return Stats{.connections_accepted = io.connections_accepted,
+               .jobs_accepted = jobs_accepted_,
+               .jobs_rejected = jobs_rejected_,
+               .evictions = io.evictions};
 }
 
 // Command core (poll thread). ------------------------------------------------
 
-void DaemonServer::handle_message(Connection& conn, const Message& m) {
+void DaemonServer::on_message(std::uint64_t conn_id, const Message& m) {
   if (const auto* submit = std::get_if<SubmitJob>(&m)) {
-    handle_submit(conn, *submit);
+    handle_submit(conn_id, *submit);
   } else if (const auto* sub = std::get_if<Subscribe>(&m)) {
-    handle_subscribe(conn, *sub);
+    if (const auto job = find_job(conn_id, sub->job_id)) {
+      job->feed.subscribe(conn_id);
+    }
   } else if (const auto* cancel = std::get_if<CancelJob>(&m)) {
-    handle_cancel(conn, *cancel);
+    // No success ack: cancellation is observed through the feed — the job
+    // finishes as JobDone ok=0 ("campaign cancelled …") once run_campaign
+    // drains. Cancelling a finished job is a harmless no-op.
+    if (const auto job = find_job(conn_id, cancel->job_id)) {
+      job->cancel.store(true);
+    }
   } else {
-    reply(conn, Message{ErrorMsg{
-                    .code = 405,
-                    .message = "unexpected message type from client"}});
+    reactor_.reply(
+        conn_id,
+        Message{ErrorMsg{.code = 405,
+                         .message = "unexpected message type from client"}});
   }
 }
 
-void DaemonServer::handle_submit(Connection& conn, const SubmitJob& submit) {
+void DaemonServer::reject(std::uint64_t conn_id, const std::string& reason) {
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    ++jobs_rejected_;
+  }
+  reactor_.reply(conn_id, Message{JobRejected{.reason = reason}});
+}
+
+void DaemonServer::handle_submit(std::uint64_t conn_id,
+                                 const SubmitJob& submit) {
   if (stopping_.load()) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.jobs_rejected;
-    reply(conn, Message{JobRejected{.reason = "daemon is shutting down"}});
+    reject(conn_id, "daemon is shutting down");
     return;
   }
 
@@ -503,11 +223,7 @@ void DaemonServer::handle_submit(Connection& conn, const SubmitJob& submit) {
   try {
     cfg = campaign_from_job(submit.job);
   } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.jobs_rejected;
-    }
-    reply(conn, Message{JobRejected{.reason = e.what()}});
+    reject(conn_id, e.what());
     return;
   }
 
@@ -520,21 +236,19 @@ void DaemonServer::handle_submit(Connection& conn, const SubmitJob& submit) {
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     job_id = next_job_id_++;
-    job = std::make_shared<Job>(this, job_id, hash, total_cells,
+    job = std::make_shared<Job>(&reactor_, job_id, hash, total_cells,
                                 std::move(cfg), std::move(metrics));
     job->config.progress = &job->feed;
     job->config.cancel = &job->cancel;
     jobs_.emplace(job_id, job);
     ++active_jobs_;
+    ++jobs_accepted_;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.jobs_accepted;
-  }
-  reply(conn, Message{JobAccepted{.job_id = job_id,
-                                  .config_hash = hash,
-                                  .total_cells = total_cells,
-                                  .replicates = job->config.replicates}});
+  reactor_.reply(conn_id,
+                 Message{JobAccepted{.job_id = job_id,
+                                     .config_hash = hash,
+                                     .total_cells = total_cells,
+                                     .replicates = job->config.replicates}});
 
   // Execution: one plain task on the global work-stealing graph, whose body
   // is the SAME run_campaign the batch CLI calls — identical seeds,
@@ -560,57 +274,18 @@ void DaemonServer::handle_submit(Connection& conn, const SubmitJob& submit) {
   });
 }
 
-void DaemonServer::handle_subscribe(Connection& conn, const Subscribe& sub) {
-  std::shared_ptr<Job> job;
+std::shared_ptr<DaemonServer::Job> DaemonServer::find_job(
+    std::uint64_t conn_id, std::uint64_t job_id) {
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
-    auto it = jobs_.find(sub.job_id);
-    if (it != jobs_.end()) job = it->second;
+    auto it = jobs_.find(job_id);
+    if (it != jobs_.end()) return it->second;
   }
-  if (job == nullptr) {
-    reply(conn, Message{ErrorMsg{.code = 404,
-                                 .message = "unknown job id " +
-                                            std::to_string(sub.job_id)}});
-    return;
-  }
-  job->feed.subscribe(conn.id);
-}
-
-void DaemonServer::handle_cancel(Connection& conn, const CancelJob& cancel) {
-  std::shared_ptr<Job> job;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    auto it = jobs_.find(cancel.job_id);
-    if (it != jobs_.end()) job = it->second;
-  }
-  if (job == nullptr) {
-    reply(conn, Message{ErrorMsg{.code = 404,
-                                 .message = "unknown job id " +
-                                            std::to_string(cancel.job_id)}});
-    return;
-  }
-  // No success ack: cancellation is observed through the feed — the job
-  // finishes as JobDone ok=0 ("campaign cancelled …") once run_campaign
-  // drains. Cancelling a finished job is a harmless no-op.
-  job->cancel.store(true);
-}
-
-void DaemonServer::reply(Connection& conn, const Message& m) {
-  const std::vector<std::uint8_t> payload = encode_payload(m);
-  send_message(conn.id, message_type(m), payload);
-}
-
-void DaemonServer::close_connection(std::uint64_t conn_id) {
-  std::unique_ptr<Connection> conn;
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    conn = std::move(it->second);
-    conns_.erase(it);
-  }
-  if (conn->fd >= 0) ::close(conn->fd);
-  // Feeds still holding this id learn on their next publish (kGone).
+  reactor_.reply(conn_id,
+                 Message{ErrorMsg{.code = 404,
+                                  .message = "unknown job id " +
+                                             std::to_string(job_id)}});
+  return nullptr;
 }
 
 }  // namespace antalloc

@@ -4,10 +4,11 @@
 //
 // ## Architecture
 //
-// One poll(2) thread owns every socket: it accepts connections, validates
-// hellos, parses frames incrementally from non-blocking reads, and is the
-// single-threaded command core — every SubmitJob and Subscribe is handled
-// on it, in arrival order, with no locking between commands. Execution is
+// The daemon's sockets belong to its net/reactor.h Reactor: one poll(2)
+// thread accepts connections, checks hellos, the inbound sequence contract
+// and framing, and hands each decoded Message to the daemon's command core
+// — every SubmitJob, Subscribe and CancelJob is handled on that thread, in
+// arrival order, with no locking between commands. Execution is
 // elsewhere: an accepted job is one submit() onto the process-global
 // work-stealing TaskGraph (parallel/task_graph.h), whose body is a plain
 // run_campaign of the config built from the wire spec. The daemon adds no
@@ -16,19 +17,15 @@
 // spec (tests/daemon_feed_test.cpp and the CI smoke job both cmp this).
 //
 // Publishing crosses back: executor threads fold cells, the job's JobFeed
-// (net/feed.h) encodes deltas and calls the server's FrameSink, which
-// frames the payload with the target connection's sequence number, appends
-// it to that connection's bounded output queue, and opportunistically
-// flushes. Lock order is feed mutex -> io mutex, never the reverse: the
-// poll thread takes the io mutex only for queue flushes and connection
-// table edits, and handles commands holding neither.
+// (net/feed.h) encodes deltas and hands them to the reactor, which frames
+// each with the target connection's sequence number and queues it.
 //
 // ## Backpressure
 //
 // The daemon never blocks on a client. A connection whose unsent backlog
 // exceeds DaemonOptions::max_queue_bytes is EVICTED: counted, closed, and
 // dropped from every feed — the campaign and the other subscribers never
-// notice (tests/feed_stress_test.cpp pins this under TSan).
+// notice (tests/feed_stress_test.cpp; the CI TSan job runs it).
 #pragma once
 
 #include <atomic>
@@ -38,11 +35,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "net/feed.h"
 #include "net/protocol.h"
+#include "net/reactor.h"
 #include "sim/campaign.h"
 
 namespace antalloc {
@@ -65,18 +60,13 @@ int wait_for_termination();
 // name enters campaign_config_hash, so it must be character-identical.
 NoiseSpec noise_spec_from(const JobNoise& noise);
 
-struct DaemonOptions {
-  std::uint16_t port = 0;  // 0 = ephemeral; read back via DaemonServer::port()
-  // Unsent-bytes bound per connection; crossing it evicts the connection.
-  std::size_t max_queue_bytes = 4u << 20;
-  // When > 0, shrink each connection's kernel send buffer (SO_SNDBUF) so
-  // backlog surfaces in the user-space queue — how the stress test makes a
-  // slow consumer hit max_queue_bytes with small payloads.
-  int send_buffer_bytes = 0;
-  int listen_backlog = 16;
-};
+// The daemon's options are its reactor's: port (0 = ephemeral; read back
+// via DaemonServer::port()), max_queue_bytes (the per-connection eviction
+// bound) and send_buffer_bytes (SO_SNDBUF when > 0 — how the stress test
+// makes a slow consumer hit max_queue_bytes with small payloads).
+using DaemonOptions = ReactorOptions;
 
-class DaemonServer final : public FrameSink {
+class DaemonServer final : private Reactor::Handler {
  public:
   explicit DaemonServer(DaemonOptions opts = {});
   ~DaemonServer() override;  // stop()
@@ -93,7 +83,7 @@ class DaemonServer final : public FrameSink {
   void stop();
 
   // The bound port (after start()).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return reactor_.port(); }
 
   struct Stats {
     std::uint64_t connections_accepted = 0;
@@ -103,48 +93,19 @@ class DaemonServer final : public FrameSink {
   };
   Stats stats() const;
 
-  // FrameSink: called by feeds from executor threads (and by the command
-  // core for replies). Frames the payload with the connection's next
-  // sequence number, queues, and flushes what the socket will take now.
-  Send send_message(std::uint64_t conn_id, MsgType type,
-                    std::span<const std::uint8_t> payload) override;
-
  private:
-  struct Connection;
   struct Job;
 
-  void poll_loop();
-  void accept_connections();
-  // Reads what is available, parses complete frames, dispatches commands.
-  // Returns false when the connection is done (EOF, damage, I/O error).
-  bool service_input(Connection& conn);
-  void handle_message(Connection& conn, const Message& m);
-  void handle_submit(Connection& conn, const SubmitJob& submit);
-  void handle_subscribe(Connection& conn, const Subscribe& sub);
-  void handle_cancel(Connection& conn, const CancelJob& cancel);
-  // Queue + flush one reply to `conn` (command-core side of send_message).
-  void reply(Connection& conn, const Message& m);
-  // Flushes conn's queue as far as the socket allows. Caller holds
-  // io_mutex_. Returns false when the socket failed (connection is dead).
-  bool flush_locked(Connection& conn);
-  void close_connection(std::uint64_t conn_id);
-  void wake_poll();
+  // Reactor::Handler: the command core, on the poll thread.
+  void on_message(std::uint64_t conn_id, const Message& m) override;
+  void handle_submit(std::uint64_t conn_id, const SubmitJob& submit);
+  // The job a Subscribe/CancelJob names, or null after replying 404.
+  std::shared_ptr<Job> find_job(std::uint64_t conn_id, std::uint64_t job_id);
+  // Counts a rejected job and answers JobRejected.
+  void reject(std::uint64_t conn_id, const std::string& reason);
 
-  DaemonOptions opts_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  // self-pipe: [0] polled, [1] written
-  std::thread poll_thread_;
-  std::atomic<bool> running_{false};
+  Reactor reactor_;
   std::atomic<bool> stopping_{false};
-
-  // Connection table. Structure (insert/erase) changes only on the poll
-  // thread, but send_message reads entries from executor threads, so every
-  // access — including per-connection queue and sequence state — holds
-  // io_mutex_.
-  mutable std::mutex io_mutex_;
-  std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
-  std::uint64_t next_conn_id_ = 1;
 
   // Job table: owned by the command core; feeds outlive their campaign so
   // late subscribers replay the final snapshot ("fetch").
@@ -153,9 +114,8 @@ class DaemonServer final : public FrameSink {
   std::uint64_t next_job_id_ = 1;
   std::size_t active_jobs_ = 0;
   std::condition_variable jobs_drained_;
-
-  mutable std::mutex stats_mutex_;
-  Stats stats_;
+  std::uint64_t jobs_accepted_ = 0;  // guarded by jobs_mutex_
+  std::uint64_t jobs_rejected_ = 0;  // guarded by jobs_mutex_
 };
 
 }  // namespace antalloc

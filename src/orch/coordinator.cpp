@@ -1,71 +1,13 @@
 #include "orch/coordinator.h"
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "net/server.h"
 
 namespace antalloc {
-
-namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw ProtocolIoError(what + ": " + std::strerror(errno));
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw_errno("fcntl(O_NONBLOCK)");
-  }
-}
-
-// The wire cell back into the in-process one (the inverse of
-// cell_update_from, matching net/client.h's reassembly exactly).
-CampaignCell cell_from_update(const CellUpdate& u,
-                              std::span<const MetricScalar> specs) {
-  CampaignCell cell;
-  cell.flat_index = static_cast<std::size_t>(u.flat_index);
-  cell.scenario = u.scenario;
-  cell.algo = u.algo;
-  cell.noise = u.noise;
-  cell.engine = u.engine;
-  cell.metric_stats.reserve(u.stats.size());
-  for (const RunningStats::State& s : u.stats) {
-    cell.metric_stats.push_back(RunningStats::from_state(s));
-  }
-  cell.fill_legacy_views(specs);
-  return cell;
-}
-
-}  // namespace
-
-struct CoordinatorServer::Connection {
-  std::uint64_t id = 0;
-  int fd = -1;
-  // Poll-thread-only read state.
-  std::vector<std::uint8_t> inbuf;
-  std::size_t in_head = 0;
-  bool hello_ok = false;
-  std::uint32_t expect_seq = 0;  // inbound sequence contract
-  std::string worker;            // last LeaseRequest identity (logs/stats)
-  // Write state, guarded by io_mutex_.
-  std::vector<std::uint8_t> outbuf;
-  std::size_t out_head = 0;
-  std::uint32_t next_seq = 0;
-  bool dead = false;
-};
 
 std::int64_t CoordinatorServer::now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -80,10 +22,11 @@ CoordinatorServer::CoordinatorServer(CoordinatorOptions opts)
       total_cells_(campaign_total_cells(config_)),
       metrics_(resolve_metric_names(config_.metrics.names)),
       specs_(metric_scalar_columns(metrics_)),
+      reactor_(*this, ReactorOptions{.port = opts_.port}),
       table_(total_cells_, opts_.lease),
       merger_(total_cells_, metrics_,
               IncrementalMerger::Duplicates::kVerifyEqual),
-      feed_(this, kCoordinatorJobId, config_hash_, total_cells_,
+      feed_(&reactor_, kCoordinatorJobId, config_hash_, total_cells_,
             config_.replicates, metrics_) {
   if (!opts_.journal_path.empty()) {
     journal_ = std::make_unique<CellJournal>(opts_.journal_path, config_hash_,
@@ -112,56 +55,11 @@ CoordinatorServer::CoordinatorServer(CoordinatorOptions opts)
 
 CoordinatorServer::~CoordinatorServer() { stop(); }
 
-void CoordinatorServer::start() {
-  if (running_.exchange(true)) {
-    throw std::logic_error("CoordinatorServer::start called twice");
-  }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw_errno("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(opts_.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    throw_errno("bind");
-  }
-  if (::listen(listen_fd_, opts_.listen_backlog) < 0) throw_errno("listen");
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
-      0) {
-    throw_errno("getsockname");
-  }
-  port_ = ntohs(addr.sin_port);
-  set_nonblocking(listen_fd_);
-
-  if (::pipe(wake_fds_) < 0) throw_errno("pipe");
-  set_nonblocking(wake_fds_[0]);
-  set_nonblocking(wake_fds_[1]);
-
-  poll_thread_ = std::thread([this] { poll_loop(); });
-}
+void CoordinatorServer::start() { reactor_.start(); }
 
 void CoordinatorServer::stop() {
-  if (!running_.load()) return;
-  running_.store(false);
-  wake_poll();
-  if (poll_thread_.joinable()) poll_thread_.join();
-
-  std::lock_guard<std::mutex> lock(io_mutex_);
-  for (auto& [id, conn] : conns_) {
-    if (conn->fd >= 0) ::close(conn->fd);
-  }
-  conns_.clear();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
-  for (int& fd : wake_fds_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
+  if (!reactor_.running()) return;
+  reactor_.stop();
 
   // Unblock wait_done(): a coordinator stopped mid-campaign reports failure
   // rather than hanging its driver. The journal (when configured) already
@@ -205,259 +103,55 @@ CoordinatorServer::Stats CoordinatorServer::stats() const {
   return stats_;
 }
 
-void CoordinatorServer::wake_poll() {
-  const char b = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &b, 1);
-}
-
-// Publishing (any thread holding no poll-side state). ------------------------
-
-FrameSink::Send CoordinatorServer::send_message(
-    std::uint64_t conn_id, MsgType type,
-    std::span<const std::uint8_t> payload) {
-  bool evicted = false;
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end() || it->second->dead) return Send::kGone;
-    Connection& conn = *it->second;
-    const std::vector<std::uint8_t> frame =
-        wrap_frame(type, conn.next_seq++, payload);
-    conn.outbuf.insert(conn.outbuf.end(), frame.begin(), frame.end());
-    if (!flush_locked(conn)) {
-      conn.dead = true;
-      wake_poll();
-      return Send::kGone;
-    }
-    if (conn.outbuf.size() - conn.out_head > opts_.max_queue_bytes) {
-      conn.dead = true;
-      evicted = true;
-      wake_poll();
-    }
-  }
-  return evicted ? Send::kEvicted : Send::kOk;
-}
-
-bool CoordinatorServer::flush_locked(Connection& conn) {
-  while (conn.out_head < conn.outbuf.size()) {
-    const ssize_t n =
-        ::send(conn.fd, conn.outbuf.data() + conn.out_head,
-               conn.outbuf.size() - conn.out_head, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out_head += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  conn.outbuf.clear();
-  conn.out_head = 0;
-  return true;
-}
-
-// Poll thread. ---------------------------------------------------------------
-
-void CoordinatorServer::poll_loop() {
-  while (running_.load()) {
-    std::vector<pollfd> fds;
-    std::vector<std::uint64_t> ids;
-    fds.push_back({listen_fd_, POLLIN, 0});
-    fds.push_back({wake_fds_[0], POLLIN, 0});
-    std::vector<std::uint64_t> reap;
-    {
-      std::lock_guard<std::mutex> lock(io_mutex_);
-      for (auto& [id, conn] : conns_) {
-        if (conn->dead) {
-          reap.push_back(id);
-          continue;
-        }
-        short events = POLLIN;
-        if (conn->out_head < conn->outbuf.size()) events |= POLLOUT;
-        fds.push_back({conn->fd, events, 0});
-        ids.push_back(id);
-      }
-    }
-    for (const std::uint64_t id : reap) close_connection(id);
-
-    sweep_deadlines(now_ms());
-
-    const int ready = ::poll(fds.data(), fds.size(), 200);
-    if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0) continue;
-
-    if (fds[1].revents != 0) {
-      char buf[64];
-      while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    if (fds[0].revents != 0) accept_connections();
-
-    for (std::size_t i = 2; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      const std::uint64_t id = ids[i - 2];
-      Connection* conn = nullptr;
-      bool dead = false;
-      {
-        std::lock_guard<std::mutex> lock(io_mutex_);
-        auto it = conns_.find(id);
-        if (it == conns_.end() || it->second->dead) continue;
-        conn = it->second.get();
-        if ((fds[i].revents & POLLOUT) != 0 && !flush_locked(*conn)) {
-          conn->dead = true;
-        }
-        dead = conn->dead;
-      }
-      if (dead) {
-        close_connection(id);
-        continue;
-      }
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        // Serviced WITHOUT io_mutex_: handlers re-enter send_message (feed
-        // fan-out, replies), which takes it. The pointer stays valid because
-        // only this thread erases from conns_.
-        if (!service_input(*conn)) close_connection(id);
-      }
-    }
-  }
-
-  std::lock_guard<std::mutex> lock(io_mutex_);
-  for (auto& [id, conn] : conns_) {
-    if (!conn->dead) flush_locked(*conn);
-  }
-}
-
-void CoordinatorServer::accept_connections() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN and transient failures alike
-    set_nonblocking(fd);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    const auto hello = encode_hello();
-    conn->outbuf.assign(hello.begin(), hello.end());
-
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    const std::uint64_t id = next_conn_id_++;
-    conn->id = id;
-    if (!flush_locked(*conn)) conn->dead = true;
-    conns_.emplace(id, std::move(conn));
-  }
-}
-
-bool CoordinatorServer::service_input(Connection& conn) {
-  // Drain first, parse second: a worker's final CellResults and its FIN can
-  // arrive in the same poll event (it ships, then dies), and those results
-  // must still fold before the connection is declared gone.
-  bool open = true;
-  std::uint8_t buf[64 * 1024];
-  while (open) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.inbuf.insert(conn.inbuf.end(), buf, buf + n);
-      continue;
-    }
-    if (n == 0) {
-      open = false;  // EOF — after the buffered frames are handled
-    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      break;
-    } else if (errno != EINTR) {
-      open = false;
-    }
-  }
-
-  try {
-    if (!conn.hello_ok) {
-      if (conn.inbuf.size() - conn.in_head < kHelloBytes) return open;
-      check_hello(std::span<const std::uint8_t>(conn.inbuf)
-                      .subspan(conn.in_head, kHelloBytes));
-      conn.in_head += kHelloBytes;
-      conn.hello_ok = true;
-    }
-    while (true) {
-      std::size_t consumed = 0;
-      std::optional<Frame> frame = try_decode_frame(
-          std::span<const std::uint8_t>(conn.inbuf).subspan(conn.in_head),
-          &consumed);
-      if (!frame.has_value()) break;
-      conn.in_head += consumed;
-      // Inbound sequence contract: results fold into the merged numbers, so
-      // a gap (lost or reordered frames) closes the connection — the worker
-      // reconnects and re-earns trust rather than the merge absorbing doubt.
-      if (frame->header.seq != conn.expect_seq) {
-        throw ProtocolError("sequence gap from worker: expected " +
-                            std::to_string(conn.expect_seq) + ", got " +
-                            std::to_string(frame->header.seq));
-      }
-      ++conn.expect_seq;
-      handle_message(conn, decode_message(*frame));
-    }
-  } catch (const ProtocolError& e) {
-    reply(conn, Message{ErrorMsg{.code = 400, .message = e.what()}});
-    return false;
-  }
-
-  if (conn.in_head > 0) {
-    conn.inbuf.erase(conn.inbuf.begin(),
-                     conn.inbuf.begin() +
-                         static_cast<std::ptrdiff_t>(conn.in_head));
-    conn.in_head = 0;
-  }
-  return open;
-}
-
 // Command core (poll thread). ------------------------------------------------
 
-void CoordinatorServer::handle_message(Connection& conn, const Message& m) {
-  if (const auto* req = std::get_if<LeaseRequest>(&m)) {
-    handle_lease_request(conn, *req);
+void CoordinatorServer::on_message(std::uint64_t conn_id, const Message& m) {
+  if (std::holds_alternative<LeaseRequest>(m)) {
+    handle_lease_request(conn_id);
   } else if (const auto* res = std::get_if<CellResult>(&m)) {
-    handle_cell_result(conn, *res);
+    handle_cell_result(conn_id, *res);
   } else if (const auto* sub = std::get_if<Subscribe>(&m)) {
     if (sub->job_id != kCoordinatorJobId) {
-      reply(conn, Message{ErrorMsg{.code = 404,
-                                   .message = "unknown job id " +
-                                              std::to_string(sub->job_id)}});
+      reactor_.reply(conn_id,
+                     Message{ErrorMsg{.code = 404,
+                                      .message = "unknown job id " +
+                                                 std::to_string(sub->job_id)}});
       return;
     }
-    feed_.subscribe(conn.id);
+    feed_.subscribe(conn_id);
   } else {
-    reply(conn, Message{ErrorMsg{
-                    .code = 405,
-                    .message = "unexpected message type at coordinator"}});
+    reactor_.reply(
+        conn_id,
+        Message{ErrorMsg{.code = 405,
+                         .message = "unexpected message type at coordinator"}});
   }
 }
 
-void CoordinatorServer::handle_lease_request(Connection& conn,
-                                             const LeaseRequest& req) {
-  conn.worker = req.worker;
-  if (std::find(worker_conns_.begin(), worker_conns_.end(), conn.id) ==
+void CoordinatorServer::handle_lease_request(std::uint64_t conn_id) {
+  if (std::find(worker_conns_.begin(), worker_conns_.end(), conn_id) ==
       worker_conns_.end()) {
-    worker_conns_.push_back(conn.id);
+    worker_conns_.push_back(conn_id);
   }
   if (done()) {
-    send_grant(conn.id, std::nullopt);
+    send_grant(conn_id, std::nullopt);
     return;
   }
   const std::optional<Lease> lease = table_.grant(now_ms());
   if (!lease.has_value()) {
     // Everything is out on live leases: park the request; a completion,
     // expiry, or worker death will answer it.
-    if (std::find(pending_.begin(), pending_.end(), conn.id) ==
+    if (std::find(pending_.begin(), pending_.end(), conn_id) ==
         pending_.end()) {
-      pending_.push_back(conn.id);
+      pending_.push_back(conn_id);
     }
     return;
   }
-  lease_conn_[lease->id] = conn.id;
+  lease_conn_[lease->id] = conn_id;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.leases_granted;
   }
-  send_grant(conn.id, lease);
+  send_grant(conn_id, lease);
 }
 
 void CoordinatorServer::send_grant(std::uint64_t conn_id,
@@ -476,22 +170,24 @@ void CoordinatorServer::send_grant(std::uint64_t conn_id,
   }
   const std::vector<std::uint8_t> payload =
       encode_payload(Message{std::move(g)});
-  const Send sent = send_message(conn_id, MsgType::kLeaseGrant, payload);
-  if (sent != Send::kOk && lease.has_value()) {
+  const FrameSink::Send sent =
+      reactor_.send_message(conn_id, MsgType::kLeaseGrant, payload);
+  if (sent != FrameSink::Send::kOk && lease.has_value()) {
     // Granted into a void — put the cells straight back.
     table_.release(lease->id);
     lease_conn_.erase(lease->id);
   }
 }
 
-void CoordinatorServer::handle_cell_result(Connection& conn,
+void CoordinatorServer::handle_cell_result(std::uint64_t conn_id,
                                            const CellResult& res) {
   if (done()) return;  // a straggler finishing after finalize: nothing left
   if (res.config_hash != config_hash_) {
-    reply(conn,
-          Message{ErrorMsg{.code = 409,
-                           .message = "config hash mismatch: worker computed "
-                                      "a different campaign"}});
+    reactor_.reply(
+        conn_id,
+        Message{ErrorMsg{.code = 409,
+                         .message = "config hash mismatch: worker computed "
+                                    "a different campaign"}});
     return;
   }
   if (res.cell.flat_index >= total_cells_ ||
@@ -610,7 +306,7 @@ void CoordinatorServer::sweep_deadlines(std::int64_t now) {
       revoked.reason = "lease deadline passed; cells reissued";
       const std::vector<std::uint8_t> payload =
           encode_payload(Message{std::move(revoked)});
-      send_message(it->second, MsgType::kLeaseRevoked, payload);
+      reactor_.send_message(it->second, MsgType::kLeaseRevoked, payload);
       lease_conn_.erase(it);
     }
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -642,21 +338,7 @@ void CoordinatorServer::fail_campaign(const std::string& why) {
   broadcast_done();  // send every worker home
 }
 
-void CoordinatorServer::reply(Connection& conn, const Message& m) {
-  const std::vector<std::uint8_t> payload = encode_payload(m);
-  send_message(conn.id, message_type(m), payload);
-}
-
-void CoordinatorServer::close_connection(std::uint64_t conn_id) {
-  std::unique_ptr<Connection> conn;
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    conn = std::move(it->second);
-    conns_.erase(it);
-  }
-  if (conn->fd >= 0) ::close(conn->fd);
+void CoordinatorServer::on_close(std::uint64_t conn_id) {
   pending_.erase(std::remove(pending_.begin(), pending_.end(), conn_id),
                  pending_.end());
   worker_conns_.erase(

@@ -37,19 +37,20 @@
 //
 // ## Architecture
 //
-// One poll(2) thread owns every socket, exactly like net/server.h's daemon
-// (incremental non-blocking parse, bounded per-connection output queues,
-// ProtocolError -> best-effort ErrorMsg + close). Unlike the daemon the
-// coordinator also enforces the inbound sequence contract: frames from a
+// The coordinator's sockets belong to a net/reactor.h Reactor, the same
+// poll loop the daemon runs on (non-blocking parse, bounded per-connection
+// output queues, ProtocolError -> best-effort ErrorMsg + close). The reactor
+// enforces the inbound sequence contract on every connection: frames from a
 // worker must arrive seq 0, 1, 2, … — a gap means the transport lost or
 // reordered something and the connection closes rather than fold
-// questionable results. The campaign itself runs nowhere in this process:
-// ALL computation is in the workers; the coordinator only leases, folds,
-// journals, and re-publishes progress through a JobFeed (job id 1), so
-// `antalloc_client watch`/`fetch` work against a coordinator unmodified.
+// questionable results. The coordinator sees decoded Messages, a tick per
+// loop iteration (the deadline sweep) and each closed connection (its
+// leases return to the table). The campaign itself runs nowhere in this
+// process: ALL computation is in the workers; the coordinator only leases,
+// folds, journals, and re-publishes progress through a JobFeed (job id 1),
+// so `antalloc_client watch`/`fetch` work against a coordinator unmodified.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -57,12 +58,12 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "io/campaign_io.h"
 #include "net/feed.h"
 #include "net/protocol.h"
+#include "net/reactor.h"
 #include "orch/lease.h"
 #include "sim/campaign.h"
 
@@ -79,11 +80,9 @@ struct CoordinatorOptions {
   // Non-empty: resumable journal path (created, or resumed when the file
   // already exists and its header matches this campaign).
   std::string journal_path;
-  std::size_t max_queue_bytes = 4u << 20;
-  int listen_backlog = 16;
 };
 
-class CoordinatorServer final : public FrameSink {
+class CoordinatorServer final : private Reactor::Handler {
  public:
   // Validates the job (campaign_from_job), sizes the lease table and
   // merger, and recovers the journal when one is configured. Throws
@@ -102,7 +101,7 @@ class CoordinatorServer final : public FrameSink {
   // before the campaign completes (workers see their connections drop).
   void stop();
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return reactor_.port(); }
   std::uint64_t config_hash() const { return config_hash_; }
   std::size_t total_cells() const { return total_cells_; }
 
@@ -129,19 +128,14 @@ class CoordinatorServer final : public FrameSink {
   };
   Stats stats() const;
 
-  // FrameSink (for the JobFeed and command replies).
-  Send send_message(std::uint64_t conn_id, MsgType type,
-                    std::span<const std::uint8_t> payload) override;
-
  private:
-  struct Connection;
-
-  void poll_loop();
-  void accept_connections();
-  bool service_input(Connection& conn);
-  void handle_message(Connection& conn, const Message& m);
-  void handle_lease_request(Connection& conn, const LeaseRequest& req);
-  void handle_cell_result(Connection& conn, const CellResult& res);
+  // Reactor::Handler, on the poll thread.
+  void on_message(std::uint64_t conn_id, const Message& m) override;
+  void on_tick() override { sweep_deadlines(now_ms()); }
+  // Drops the connection from the request queues and returns its leases.
+  void on_close(std::uint64_t conn_id) override;
+  void handle_lease_request(std::uint64_t conn_id);
+  void handle_cell_result(std::uint64_t conn_id, const CellResult& res);
   // Folds one arriving cell (merge, journal, lease completion, feed). The
   // lease-table side runs even for verified duplicates — completion is
   // completion no matter which worker raced it in.
@@ -162,10 +156,6 @@ class CoordinatorServer final : public FrameSink {
   // take()s the merger, finishes the feed, wakes wait_done().
   void finalize();
   void fail_campaign(const std::string& why);
-  void reply(Connection& conn, const Message& m);
-  bool flush_locked(Connection& conn);
-  void close_connection(std::uint64_t conn_id);
-  void wake_poll();
   static std::int64_t now_ms();
 
   CoordinatorOptions opts_;
@@ -174,6 +164,7 @@ class CoordinatorServer final : public FrameSink {
   std::size_t total_cells_ = 0;
   std::vector<std::string> metrics_;  // resolved selection
   std::vector<MetricScalar> specs_;
+  Reactor reactor_;  // the sockets; also the feed's FrameSink
 
   // Campaign state: poll-thread-owned after start() (the constructor touches
   // it freely before any thread exists).
@@ -184,16 +175,6 @@ class CoordinatorServer final : public FrameSink {
   std::map<std::uint64_t, std::uint64_t> lease_conn_;  // lease id -> conn id
   std::vector<std::uint64_t> pending_;  // conn ids awaiting a grantable lease
   std::vector<std::uint64_t> worker_conns_;  // conn ids that ever requested
-
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};
-  std::thread poll_thread_;
-  std::atomic<bool> running_{false};
-
-  mutable std::mutex io_mutex_;
-  std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
-  std::uint64_t next_conn_id_ = 1;
 
   // Completion state (wait_done handshake + result storage).
   mutable std::mutex done_mutex_;

@@ -3,7 +3,8 @@
 // CampaignResult BYTE-identical to an offline run_campaign of the same spec
 // — same campaign_config_hash, same Welford accumulator bits, same CSV.
 // Also pins the late-subscriber replay path ("fetch" = subscribe after the
-// job finished) and the rejection/error paths.
+// job finished), the rejection/error paths, and — from a raw wire peer —
+// the inbound sequence contract and the answer to a damaged frame.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -276,6 +277,60 @@ TEST(DaemonFeed, UnknownAdversaryIsRejected) {
   ASSERT_TRUE(std::holds_alternative<JobRejected>(reply));
   EXPECT_NE(std::get<JobRejected>(reply).reason.find("no-such-adv"),
             std::string::npos);
+  server.stop();
+}
+
+// The inbound sequence contract: a raw peer's Subscribe at seq 0 is served,
+// then its frame at seq 2 (seq 1 skipped) is refused with ErrorMsg 400 and
+// the connection closes — the out-of-sequence frame is never acted on.
+TEST(DaemonFeed, InboundSequenceGapGets400AndClose) {
+  DaemonServer server;
+  server.start();
+  JobSpec job = churn_job();
+  job.scenarios = {"constant"};
+  std::uint64_t job_id = 0;
+  {
+    DaemonClient client("127.0.0.1", server.port());
+    JobAccepted accepted;
+    ASSERT_TRUE(submit_and_stream(client, job, &accepted).done());
+    job_id = accepted.job_id;
+  }
+
+  test_util::WirePeer peer = test_util::WirePeer::connect(server.port());
+  const Message subscribe{Subscribe{.job_id = job_id}};
+  std::vector<std::uint8_t> bytes = encode_frame(subscribe, 0);
+  const std::vector<std::uint8_t> gap = encode_frame(subscribe, 2);
+  bytes.insert(bytes.end(), gap.begin(), gap.end());
+  peer.write_all(bytes);
+
+  // The finished job's replay answers the seq-0 Subscribe ...
+  EXPECT_TRUE(std::holds_alternative<Snapshot>(peer.recv()));
+  EXPECT_TRUE(std::holds_alternative<JobDone>(peer.recv()));
+  // ... and the seq-2 one gets no second replay.
+  const Message refused = peer.recv();
+  ASSERT_TRUE(std::holds_alternative<ErrorMsg>(refused));
+  EXPECT_EQ(std::get<ErrorMsg>(refused).code, 400u);
+  EXPECT_NE(std::get<ErrorMsg>(refused).message.find("sequence gap"),
+            std::string::npos);
+  EXPECT_THROW(peer.recv(), ProtocolIoError);
+  server.stop();
+}
+
+TEST(DaemonFeed, CorruptFrameGets400AndClose) {
+  DaemonServer server;
+  server.start();
+  test_util::WirePeer peer = test_util::WirePeer::connect(server.port());
+  std::vector<std::uint8_t> frame =
+      encode_frame(Message{Subscribe{.job_id = 1}}, 0);
+  frame.back() ^= 0x01;  // inside the trailing checksum word
+  peer.write_all(frame);
+
+  const Message refused = peer.recv();
+  ASSERT_TRUE(std::holds_alternative<ErrorMsg>(refused));
+  EXPECT_EQ(std::get<ErrorMsg>(refused).code, 400u);
+  EXPECT_NE(std::get<ErrorMsg>(refused).message.find("checksum"),
+            std::string::npos);
+  EXPECT_THROW(peer.recv(), ProtocolIoError);
   server.stop();
 }
 

@@ -9,15 +9,9 @@
 // coordinator — how a worker handles a revoked lease.
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -83,86 +77,6 @@ struct WorkerThread {
     if (thread.joinable()) thread.join();
   }
   void join() { thread.join(); }
-};
-
-// The coordinator's side of one worker connection, scripted by the test:
-// listens on an ephemeral loopback port, accepts a single peer, exchanges
-// hellos, then sends and receives whole net/protocol.h messages. Lets a
-// test put a real run_worker through an exact sequence of frames.
-class ScriptedCoordinator {
- public:
-  ScriptedCoordinator() {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    socklen_t len = sizeof(addr);
-    if (listen_fd_ < 0 ||
-        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
-        ::listen(listen_fd_, 1) != 0 ||
-        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-            0) {
-      throw ProtocolIoError("scripted coordinator: listen failed");
-    }
-    port_ = ntohs(addr.sin_port);
-  }
-  ~ScriptedCoordinator() {
-    if (fd_ >= 0) ::close(fd_);
-    ::close(listen_fd_);
-  }
-
-  std::uint16_t port() const { return port_; }
-
-  // Blocks until the worker connects, then swaps hellos.
-  void accept() {
-    fd_ = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd_ < 0) throw ProtocolIoError("scripted coordinator: accept failed");
-    write_all(encode_hello());
-    std::array<std::uint8_t, kHelloBytes> hello{};
-    read_exact(hello.data(), hello.size());
-    check_hello(hello);
-  }
-
-  void send(const Message& m) { write_all(encode_frame(m, send_seq_++)); }
-
-  Message recv() {
-    while (true) {
-      std::size_t consumed = 0;
-      std::optional<Frame> frame = try_decode_frame(inbuf_, &consumed);
-      if (frame.has_value()) {
-        inbuf_.erase(inbuf_.begin(),
-                     inbuf_.begin() + static_cast<std::ptrdiff_t>(consumed));
-        return decode_message(*frame);
-      }
-      std::uint8_t chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) throw ProtocolIoError("scripted coordinator: peer gone");
-      inbuf_.insert(inbuf_.end(), chunk, chunk + n);
-    }
-  }
-
- private:
-  void write_all(std::span<const std::uint8_t> bytes) {
-    for (std::size_t off = 0; off < bytes.size();) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) throw ProtocolIoError("scripted coordinator: send failed");
-      off += static_cast<std::size_t>(n);
-    }
-  }
-  void read_exact(std::uint8_t* out, std::size_t len) {
-    for (std::size_t got = 0; got < len;) {
-      const ssize_t n = ::recv(fd_, out + got, len - got, 0);
-      if (n <= 0) throw ProtocolIoError("scripted coordinator: peer gone");
-      got += static_cast<std::size_t>(n);
-    }
-  }
-
-  int listen_fd_ = -1;
-  int fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::uint32_t send_seq_ = 0;
-  std::vector<std::uint8_t> inbuf_;
 };
 
 TEST(OrchFleet, ThreeWorkersMergeBitIdenticalToUnsharded) {
@@ -316,12 +230,14 @@ TEST(OrchFleet, RevokedLeaseStopsTheWorkerAndItAsksForFreshWork) {
 
   // Declared before the coordinator so that, should an assertion end the
   // test early, the coordinator's socket closes first and the worker
-  // thread sees EOF instead of blocking its join.
+  // thread sees EOF instead of blocking its join. The coordinator is a
+  // scripted loopback peer that puts the real worker through an exact
+  // sequence of frames.
   ThreadPool pool(1);
   std::optional<WorkerThread> worker;
-  ScriptedCoordinator coordinator;
-  worker.emplace(coordinator.port(), WorkerOptions{.name = "w", .pool = &pool});
-  coordinator.accept();
+  test_util::WireListener listener;
+  worker.emplace(listener.port(), WorkerOptions{.name = "w", .pool = &pool});
+  test_util::WirePeer coordinator = listener.accept();
   ASSERT_TRUE(std::holds_alternative<LeaseRequest>(coordinator.recv()));
   const std::uint64_t lease_id = 7;
   coordinator.send(Message{LeaseGrant{.lease_id = lease_id,

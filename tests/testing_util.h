@@ -1,22 +1,32 @@
-// Shared campaign-config builders for the test suite. campaign_test,
-// campaign_schedule_test, campaign_metrics_test and the net-layer tests all
-// need a small scenario×algo matrix; one parameterized builder here replaces
-// the near-identical copies each file used to carry. The named wrappers
+// Shared helpers for the test suite. campaign_test, campaign_schedule_test,
+// campaign_metrics_test and the net-layer tests all need a small
+// scenario×algo matrix; one parameterized builder here replaces the
+// near-identical copies each file used to carry. The named wrappers
 // (small_matrix / churn_matrix / metric_matrix) reproduce the historical
 // per-file configs EXACTLY — same demands, rounds, seeds, replicates — so
-// every number those tests pin is unchanged.
+// every number those tests pin is unchanged. The net-layer tests also share
+// a raw loopback wire peer (WirePeer / WireListener).
 #pragma once
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <array>
+#include <cerrno>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "net/protocol.h"
 #include "noise/sigmoid.h"
 #include "sim/campaign.h"
 #include "stats/summary.h"
@@ -144,5 +154,139 @@ inline void expect_stats_identical(const RunningStats& a,
   EXPECT_EQ(sa.min, sb.min);
   EXPECT_EQ(sa.max, sb.max);
 }
+
+// One blocking loopback connection that speaks net/protocol.h frames with
+// whatever sequence numbers and bytes the test chooses — the raw side of a
+// scripted exchange, below DaemonClient's own framing. A receive that waits
+// 30 s throws std::runtime_error, so a peer that never answers fails the
+// test instead of hanging it.
+class WirePeer {
+ public:
+  explicit WirePeer(int fd) : fd_(fd) {
+    const timeval timeout{.tv_sec = 30, .tv_usec = 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  WirePeer(WirePeer&& other) noexcept
+      : fd_(std::exchange(other.fd_, -1)),
+        send_seq_(other.send_seq_),
+        inbuf_(std::move(other.inbuf_)) {}
+  WirePeer& operator=(WirePeer&&) = delete;
+  ~WirePeer() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  // Connects to a loopback server and swaps hellos.
+  static WirePeer connect(std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const sockaddr_in addr = loopback(port);
+    if (fd < 0 || ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                            sizeof(addr)) != 0) {
+      if (fd >= 0) ::close(fd);
+      throw ProtocolIoError("wire peer: connect failed");
+    }
+    WirePeer peer(fd);
+    peer.exchange_hellos();
+    return peer;
+  }
+
+  // Ours out, theirs checked.
+  void exchange_hellos() {
+    write_all(encode_hello());
+    std::array<std::uint8_t, kHelloBytes> hello{};
+    for (std::size_t got = 0; got < hello.size();) {
+      got += read_some(hello.data() + got, hello.size() - got);
+    }
+    check_hello(hello);
+  }
+
+  void write_all(std::span<const std::uint8_t> bytes) {
+    for (std::size_t off = 0; off < bytes.size();) {
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
+      if (n <= 0) throw ProtocolIoError("wire peer: send failed");
+      off += static_cast<std::size_t>(n);
+    }
+  }
+
+  // Sends `m` as the next frame in this peer's own sequence.
+  void send(const Message& m) { write_all(encode_frame(m, send_seq_++)); }
+
+  // The next decoded frame. Throws ProtocolIoError once the other side has
+  // closed the connection.
+  Message recv() {
+    while (true) {
+      std::size_t consumed = 0;
+      std::optional<Frame> frame = try_decode_frame(inbuf_, &consumed);
+      if (frame.has_value()) {
+        inbuf_.erase(inbuf_.begin(),
+                     inbuf_.begin() + static_cast<std::ptrdiff_t>(consumed));
+        return decode_message(*frame);
+      }
+      std::uint8_t chunk[4096];
+      const std::size_t n = read_some(chunk, sizeof(chunk));
+      inbuf_.insert(inbuf_.end(), chunk, chunk + n);
+    }
+  }
+
+  static sockaddr_in loopback(std::uint16_t port) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    return addr;
+  }
+
+ private:
+  std::size_t read_some(std::uint8_t* out, std::size_t len) {
+    const ssize_t n = ::recv(fd_, out, len, 0);
+    if (n > 0) return static_cast<std::size_t>(n);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      throw std::runtime_error("wire peer: no data within 30 s");
+    }
+    throw ProtocolIoError("wire peer: connection closed");
+  }
+
+  int fd_ = -1;
+  std::uint32_t send_seq_ = 0;
+  std::vector<std::uint8_t> inbuf_;
+};
+
+// A loopback listener on an ephemeral port: the server side of a scripted
+// exchange, e.g. a coordinator that puts a real worker through an exact
+// sequence of frames.
+class WireListener {
+ public:
+  WireListener() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr = WirePeer::loopback(0);
+    socklen_t len = sizeof(addr);
+    if (listen_fd_ < 0 ||
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::listen(listen_fd_, 1) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
+            0) {
+      throw ProtocolIoError("wire listener: listen failed");
+    }
+    port_ = ntohs(addr.sin_port);
+  }
+  WireListener(const WireListener&) = delete;
+  WireListener& operator=(const WireListener&) = delete;
+  ~WireListener() { ::close(listen_fd_); }
+
+  std::uint16_t port() const { return port_; }
+
+  // Blocks until a peer connects, then swaps hellos.
+  WirePeer accept() {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) throw ProtocolIoError("wire listener: accept failed");
+    WirePeer peer(fd);
+    peer.exchange_hellos();
+    return peer;
+  }
+
+ private:
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+};
 
 }  // namespace antalloc::test_util
