@@ -142,6 +142,8 @@ void AntAggregate::reset(const Allocation& initial, std::uint64_t seed) {
   prev_visible_ = assigned_;
   p1_lack_.assign(k, 0.0);
   scratch_.assign(k, 0.0);
+  join_marginals_.assign(k, 0.0);
+  joins_.assign(k, 0);
   task_active_.assign(k, 1);
   idle_ = initial.idle();
   flushed_ = 0;
@@ -226,14 +228,13 @@ AggregateKernel::RoundOutput AntAggregate::step(Round t,
     paused_[j] = 0;
   }
 
-  const std::vector<double> join_marginals =
-      rng::uniform_choice_marginals(scratch_);
-  const std::vector<Count> joins =
-      rng::multinomial_rest(gen_, joinable, join_marginals);
+  rng::uniform_choice_marginals_into(scratch_, join_marginals_,
+                                     marginals_ws_);
+  rng::multinomial_rest_into(gen_, joinable, join_marginals_, joins_);
   for (std::size_t j = 0; j < k; ++j) {
-    assigned_[j] += joins[j];
-    idle_ -= joins[j];
-    switches += joins[j];
+    assigned_[j] += joins_[j];
+    idle_ -= joins_[j];
+    switches += joins_[j];
     visible_[j] = assigned_[j];
   }
   return {visible_, switches};

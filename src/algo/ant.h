@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "algo/algorithm.h"
+#include "rng/poisson_binomial.h"
 
 namespace antalloc {
 
@@ -91,6 +92,9 @@ class AntAggregate final : public AggregateKernel {
   std::vector<Count> prev_visible_;  // W(j)_{t-1}, what round-t feedback sees
   std::vector<double> p1_lack_;   // first-sample lack probability per task
   std::vector<double> scratch_;
+  std::vector<double> join_marginals_;  // q[j] for the idle-pool join
+  std::vector<Count> joins_;            // joins per task this round
+  rng::ChoiceMarginalsWorkspace marginals_ws_;
   std::vector<std::uint8_t> task_active_;  // lifecycle flags (1 = active)
 };
 

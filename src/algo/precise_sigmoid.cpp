@@ -35,8 +35,10 @@ std::int32_t PreciseSigmoidParams::window() const {
 
 std::int32_t majority_threshold(std::int32_t m) { return m / 2 + 1; }
 
-double median_lack_probability(std::span<const double> probs) {
-  const auto pmf = rng::poisson_binomial_pmf(probs);
+double median_lack_probability(std::span<const double> probs,
+                               std::vector<double>& pmf) {
+  pmf.resize(probs.size() + 1);
+  rng::poisson_binomial_pmf_into(probs, pmf);
   const auto threshold =
       static_cast<std::size_t>(majority_threshold(
           static_cast<std::int32_t>(probs.size())));
@@ -219,6 +221,8 @@ void PreciseSigmoidAggregate::reset(const Allocation& initial,
   window2_.assign(k, {});
   med1_lack_.assign(k, 0.0);
   scratch_.assign(k, 0.0);
+  join_marginals_.assign(k, 0.0);
+  joins_.assign(k, 0);
   task_active_.assign(k, 1);
   idle_ = initial.idle();
   flushed_ = 0;
@@ -286,7 +290,7 @@ AggregateKernel::RoundOutput PreciseSigmoidAggregate::step(
         med1_lack_[j] = 0.0;
         continue;
       }
-      med1_lack_[j] = median_lack_probability(window1_[j]);
+      med1_lack_[j] = median_lack_probability(window1_[j], median_pmf_);
       paused_[j] =
           rng::binomial(gen_, assigned_[j], params_.pause_probability());
       visible_[j] = assigned_[j] - paused_[j];
@@ -307,7 +311,7 @@ AggregateKernel::RoundOutput PreciseSigmoidAggregate::step(
       paused_[j] = 0;
       continue;
     }
-    const double med2_lack = median_lack_probability(window2_[j]);
+    const double med2_lack = median_lack_probability(window2_[j], median_pmf_);
     const double p_leave = (1.0 - med1_lack_[j]) * (1.0 - med2_lack) *
                            params_.leave_probability();
     const Count leaves = rng::binomial(gen_, assigned_[j], p_leave);
@@ -317,14 +321,13 @@ AggregateKernel::RoundOutput PreciseSigmoidAggregate::step(
     scratch_[j] = med1_lack_[j] * med2_lack;
     paused_[j] = 0;
   }
-  const std::vector<double> join_marginals =
-      rng::uniform_choice_marginals(scratch_);
-  const std::vector<Count> joins =
-      rng::multinomial_rest(gen_, joinable, join_marginals);
+  rng::uniform_choice_marginals_into(scratch_, join_marginals_,
+                                     marginals_ws_);
+  rng::multinomial_rest_into(gen_, joinable, join_marginals_, joins_);
   for (std::size_t j = 0; j < k; ++j) {
-    assigned_[j] += joins[j];
-    idle_ -= joins[j];
-    switches += joins[j];
+    assigned_[j] += joins_[j];
+    idle_ -= joins_[j];
+    switches += joins_[j];
     visible_[j] = assigned_[j];
   }
   return {visible_, switches};

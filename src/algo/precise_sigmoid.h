@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "algo/algorithm.h"
+#include "rng/poisson_binomial.h"
 
 namespace antalloc {
 
@@ -50,7 +51,10 @@ std::int32_t majority_threshold(std::int32_t m);
 
 // Probability that the median of independent samples with per-round lack
 // probabilities `probs` is lack (Poisson-binomial strict-majority tail).
-double median_lack_probability(std::span<const double> probs);
+// `pmf` is caller-owned scratch, resized to probs.size() + 1; reusing one
+// buffer keeps the call allocation-free once warm.
+double median_lack_probability(std::span<const double> probs,
+                               std::vector<double>& pmf);
 
 class PreciseSigmoidAgent final : public AgentAlgorithm {
  public:
@@ -116,6 +120,10 @@ class PreciseSigmoidAggregate final : public AggregateKernel {
   std::vector<std::vector<double>> window2_;
   std::vector<double> med1_lack_;
   std::vector<double> scratch_;
+  std::vector<double> median_pmf_;      // median_lack_probability scratch
+  std::vector<double> join_marginals_;  // q[j] for the idle-pool join
+  std::vector<Count> joins_;            // joins per task this epoch
+  rng::ChoiceMarginalsWorkspace marginals_ws_;
   std::vector<std::uint8_t> task_active_;     // lifecycle flags (1 = active)
 };
 

@@ -74,6 +74,8 @@ void ReactiveAggregate::reset(const Allocation& initial, std::uint64_t seed) {
   loads_.assign(initial.loads().begin(), initial.loads().end());
   prev_loads_ = loads_;
   scratch_.assign(loads_.size(), 0.0);
+  join_marginals_.assign(loads_.size(), 0.0);
+  joins_.assign(loads_.size(), 0);
   task_active_.assign(loads_.size(), 1);
   idle_ = initial.idle();
 }
@@ -130,14 +132,13 @@ AggregateKernel::RoundOutput ReactiveAggregate::step(
   }
 
   // Idle ants join a uniformly random task whose (single) sample was lack.
-  const std::vector<double> join_marginals =
-      rng::uniform_choice_marginals(scratch_);
-  const std::vector<Count> joins =
-      rng::multinomial_rest(gen_, joinable, join_marginals);
+  rng::uniform_choice_marginals_into(scratch_, join_marginals_,
+                                     marginals_ws_);
+  rng::multinomial_rest_into(gen_, joinable, join_marginals_, joins_);
   for (std::size_t j = 0; j < k; ++j) {
-    loads_[j] += joins[j];
-    idle_ -= joins[j];
-    switches += joins[j];
+    loads_[j] += joins_[j];
+    idle_ -= joins_[j];
+    switches += joins_[j];
   }
   return {loads_, switches};
 }

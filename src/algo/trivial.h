@@ -20,6 +20,7 @@
 
 #include "algo/algorithm.h"
 #include "metrics/regret.h"
+#include "rng/poisson_binomial.h"
 
 namespace antalloc {
 
@@ -66,6 +67,9 @@ class ReactiveAggregate final : public AggregateKernel {
   std::vector<Count> loads_;
   std::vector<Count> prev_loads_;
   std::vector<double> scratch_;
+  std::vector<double> join_marginals_;  // q[j] for the idle-pool join
+  std::vector<Count> joins_;            // joins per task this round
+  rng::ChoiceMarginalsWorkspace marginals_ws_;
   std::vector<std::uint8_t> task_active_;  // lifecycle flags (1 = active)
 };
 

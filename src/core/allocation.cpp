@@ -137,9 +137,10 @@ Allocation make_initial_allocation(InitialKind kind, Count n_ants,
     case InitialKind::kRandom: {
       rng::Xoshiro256 gen(seed);
       // Each ant independently picks a task or idle, uniformly over k+1 bins.
+      // The leftover count is the idle pool.
       const std::vector<double> probs(ku, 1.0 / static_cast<double>(k + 1));
-      auto counts = rng::multinomial_rest(gen, n_ants, probs);
-      counts.pop_back();  // last bin is the idle pool
+      std::vector<Count> counts(ku, 0);
+      rng::multinomial_rest_into(gen, n_ants, probs, counts);
       return Allocation(n_ants, std::move(counts));
     }
   }

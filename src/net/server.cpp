@@ -253,7 +253,7 @@ void DaemonServer::handle_submit(std::uint64_t conn_id,
   // Execution: one plain task on the global work-stealing graph, whose body
   // is the SAME run_campaign the batch CLI calls — identical seeds,
   // identical folds, byte-identical rows.
-  global_task_graph().submit([this, job] {
+  global_task_graph().submit([this, job, job_id] {
     try {
       const CampaignResult result = run_campaign(job->config);
       job->feed.finish(result);
@@ -262,12 +262,20 @@ void DaemonServer::handle_submit(std::uint64_t conn_id,
     } catch (...) {
       job->feed.fail("unknown campaign failure");
     }
+    std::shared_ptr<Job> evicted;  // released after the lock
     {
       // Notify UNDER the lock: stop() destroys this condvar right after its
       // wait observes active_jobs_ == 0, and holding the mutex through the
       // notify means that observation cannot happen until the notify has
       // fully returned.
       std::lock_guard<std::mutex> lock(jobs_mutex_);
+      finished_jobs_.push_back(job_id);
+      if (finished_jobs_.size() > kFinishedJobsKept) {
+        const auto oldest = jobs_.find(finished_jobs_.front());
+        evicted = std::move(oldest->second);
+        jobs_.erase(oldest);
+        finished_jobs_.pop_front();
+      }
       --active_jobs_;
       jobs_drained_.notify_all();
     }

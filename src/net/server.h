@@ -31,6 +31,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -108,9 +109,14 @@ class DaemonServer final : private Reactor::Handler {
   std::atomic<bool> stopping_{false};
 
   // Job table: owned by the command core; feeds outlive their campaign so
-  // late subscribers replay the final snapshot ("fetch").
+  // late subscribers replay the final snapshot ("fetch"). Only the
+  // kFinishedJobsKept most recently finished jobs stay: when one more
+  // finishes, the oldest finished job is erased, and a Subscribe or
+  // CancelJob naming it gets 404. Running jobs are never erased.
+  static constexpr std::size_t kFinishedJobsKept = 64;
   mutable std::mutex jobs_mutex_;
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
+  std::deque<std::uint64_t> finished_jobs_;  // ids in finishing order
   std::uint64_t next_job_id_ = 1;
   std::size_t active_jobs_ = 0;
   std::condition_variable jobs_drained_;

@@ -41,7 +41,7 @@ class BulkSampler {
 
   // Multinomial-with-rest from the count stream; writes per-outcome counts
   // into `counts` (size probs.size()) and returns the leftover. Consumes the
-  // same draws as rng::multinomial_rest.
+  // same draws as rng::multinomial_rest_into.
   std::int64_t multinomial_rest(std::int64_t n, std::span<const double> probs,
                                 std::span<std::int64_t> counts);
 

@@ -66,13 +66,4 @@ std::int64_t multinomial_rest_into(Xoshiro256& gen, std::int64_t n,
                                      counts);
 }
 
-std::vector<std::int64_t> multinomial_rest(Xoshiro256& gen, std::int64_t n,
-                                           std::span<const double> probs) {
-  std::vector<std::int64_t> counts(probs.size(), 0);
-  const std::int64_t rest =
-      multinomial_rest_into(gen, n, probs, counts);
-  counts.push_back(rest);
-  return counts;
-}
-
 }  // namespace antalloc::rng

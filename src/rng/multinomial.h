@@ -12,24 +12,15 @@
 namespace antalloc::rng {
 
 // Draws counts c[i] with sum(c) == n and c ~ Multinomial(n, probs / S) where
-// S = sum(probs). `probs` must be non-negative; if S < 1 the remaining mass
-// is returned as the final element of the result (size probs.size() + 1),
-// representing "none of the listed outcomes".
-//
-// multinomial:      probabilities are normalized, result size == probs.size().
-// multinomial_rest: probabilities are NOT normalized (S <= 1 required up to
-//                   rounding), result size == probs.size() + 1 with the
-//                   leftover count last.
+// S = sum(probs), normalized; `probs` must be non-negative and the result
+// has size probs.size().
 std::vector<std::int64_t> multinomial(Xoshiro256& gen, std::int64_t n,
                                       std::span<const double> probs);
 
-std::vector<std::int64_t> multinomial_rest(Xoshiro256& gen, std::int64_t n,
-                                           std::span<const double> probs);
-
-// Allocation-free form of multinomial_rest: writes the per-outcome counts
-// into `counts` (size probs.size()) and returns the leftover count. Consumes
-// exactly the same generator draws as multinomial_rest, so the two are
-// stream-interchangeable.
+// Multinomial with a rest: `probs` are NOT normalized (S <= 1 required up to
+// rounding). Writes the per-outcome counts into `counts` (size probs.size())
+// and returns the leftover count, the ants that took none of the listed
+// outcomes. Allocation-free.
 std::int64_t multinomial_rest_into(Xoshiro256& gen, std::int64_t n,
                                    std::span<const double> probs,
                                    std::span<std::int64_t> counts);

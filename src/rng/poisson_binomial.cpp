@@ -57,11 +57,4 @@ void uniform_choice_marginals_into(std::span<const double> p,
   }
 }
 
-std::vector<double> uniform_choice_marginals(std::span<const double> p) {
-  std::vector<double> q(p.size(), 0.0);
-  ChoiceMarginalsWorkspace ws;
-  uniform_choice_marginals_into(p, q, ws);
-  return q;
-}
-
 }  // namespace antalloc::rng

@@ -11,10 +11,10 @@
 // Poisson-binomial distribution of B_j (leave-one-out). Idle ants are i.i.d.
 // given the current loads, so the join counts are Multinomial(n_idle, q).
 //
-// Each helper exists in two forms: an allocating convenience wrapper and an
-// `_into` variant writing into caller-owned storage, for per-round hot paths
-// that must stay allocation-free (rng/bulk_sampler.h). Both compute the same
-// floating-point operations in the same order, so results are bit-identical.
+// The helpers write into caller-owned storage, so per-round hot paths (the
+// aggregate kernels, rng/bulk_sampler.h) stay allocation-free. The PMF also
+// has an allocating wrapper that computes the same floating-point operations
+// in the same order, so the two are bit-identical.
 #pragma once
 
 #include <span>
@@ -43,8 +43,5 @@ struct ChoiceMarginalsWorkspace {
 void uniform_choice_marginals_into(std::span<const double> p,
                                    std::span<double> q_out,
                                    ChoiceMarginalsWorkspace& ws);
-
-// Allocating wrapper; q.size() == p.size().
-std::vector<double> uniform_choice_marginals(std::span<const double> p);
 
 }  // namespace antalloc::rng

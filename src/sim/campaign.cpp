@@ -403,9 +403,12 @@ std::uint64_t campaign_config_hash(const CampaignConfig& cfg) {
   // v3: the agent-engine sampling mode entered (batched fast path) — the
   // two modes draw different equivalent-in-law streams, so shards must not
   // mix them, and pre-batching shards are rejected wholesale.
+  // v4: rng::binomial became an in-repo BTRD sampler, which changed every
+  // count stream (aggregate kernels, batched agent counts, random initial
+  // allocations); shards from before and after that change must not mix.
   // trace_dir, like the shard spec and pool, stays OUT of the hash: where a
   // campaign's traces land must not change any number it computes.
-  std::uint64_t h = rng::hash_string("antalloc-campaign-v3");
+  std::uint64_t h = rng::hash_string("antalloc-campaign-v4");
 
   h = mix_u64(h, cfg.scenarios.size());
   for (const Scenario& sc : cfg.scenarios) {

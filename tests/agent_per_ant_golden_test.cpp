@@ -56,7 +56,7 @@ TEST(AgentPerAntGolden, CampaignCsvAndConfigHashArePinned) {
   const std::uint64_t config_hash = campaign_config_hash(cfg);
   EXPECT_EQ(csv_hash, 12813025245447655501ull)
       << "to_csv() FNV-1a is now " << csv_hash;
-  EXPECT_EQ(config_hash, 15166333133280151591ull)
+  EXPECT_EQ(config_hash, 4640090545578507745ull)
       << "campaign_config_hash is now " << config_hash;
 }
 

@@ -1,5 +1,6 @@
 // Pins the "allocation-free round emission" property of the agent engine,
-// for every agent algorithm: with default metrics options (no trace) every
+// for every agent algorithm, and of the aggregate engine, for every
+// count-level kernel: with default metrics options (no trace) every
 // heap allocation happens during setup (reset, buffer reservation, result
 // assembly) — none per round. The proof is a global operator-new counter and two runs differing
 // only in round count: if any per-round path allocated, the longer run
@@ -17,6 +18,7 @@
 #include <string>
 
 #include "agent/agent_sim.h"
+#include "aggregate/aggregate_sim.h"
 #include "algo/registry.h"
 #include "noise/sigmoid.h"
 
@@ -127,6 +129,50 @@ INSTANTIATE_TEST_SUITE_P(
       std::string name = i.param.algo + "_" +
                          (i.param.mode == SamplingMode::kPerAnt ? "per_ant"
                                                                  : "batched");
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
+
+// The aggregate engine on a colony large enough that the count draws take
+// every binomial regime (bit sum, inversion and BTRD).
+std::uint64_t kernel_allocations_for_run(const std::string& algo,
+                                         Round rounds) {
+  const std::uint64_t before =
+      g_allocations.load(std::memory_order_relaxed);
+  {
+    auto kernel = make_aggregate_kernel(
+        AlgoConfig{.name = algo, .gamma = 0.05, .epsilon = 0.9});
+    SigmoidFeedback fm(0.05);
+    const DemandVector demands(
+        {Count{20'000}, Count{12'000}, Count{6'000}, Count{40}});
+    AggregateSimConfig cfg{.n_ants = 65'536, .rounds = rounds, .seed = 11};
+    cfg.metrics.gamma = 0.05;
+    const auto res = run_aggregate_sim(*kernel, fm, demands, cfg);
+    g_sink += static_cast<std::uint64_t>(res.switches);
+  }
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+class KernelAllocationFree : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(KernelAllocationFree, RoundCountDoesNotChangeAllocationCount) {
+  const std::string& algo = GetParam();
+  (void)kernel_allocations_for_run(algo, 50);
+  const std::uint64_t short_run = kernel_allocations_for_run(algo, 100);
+  const std::uint64_t long_run = kernel_allocations_for_run(algo, 300);
+  EXPECT_EQ(short_run, long_run)
+      << "per-round heap allocations detected for the " << algo << " kernel";
+  EXPECT_GT(short_run, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AggregateKernels, KernelAllocationFree,
+    ::testing::Values("ant", "precise-sigmoid", "trivial", "sharp-threshold",
+                      "oracle"),
+    [](const ::testing::TestParamInfo<std::string>& i) {
+      std::string name = i.param;
       for (char& ch : name) {
         if (ch == '-') ch = '_';
       }

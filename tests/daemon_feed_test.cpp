@@ -4,11 +4,14 @@
 // — same campaign_config_hash, same Welford accumulator bits, same CSV.
 // Also pins the late-subscriber replay path ("fetch" = subscribe after the
 // job finished), the rejection/error paths, and — from a raw wire peer —
-// the inbound sequence contract and the answer to a damaged frame.
+// the inbound sequence contract and the answer to a damaged frame — and the
+// bound on how many finished jobs the daemon keeps.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -239,6 +242,69 @@ TEST(DaemonFeed, UnknownJobIdGetsError404) {
   const Message reply = client.recv();
   ASSERT_TRUE(std::holds_alternative<ErrorMsg>(reply));
   EXPECT_EQ(std::get<ErrorMsg>(reply).code, 404u);
+  server.stop();
+}
+
+TEST(DaemonFeed, OnlyTheNewestFinishedJobsAreKept) {
+  // One more tiny job than the daemon keeps finished: job 1 is evicted once
+  // job 65 finishes, the newest still replays in full.
+  JobSpec job;
+  job.scenarios = {"constant"};
+  job.algos = {JobAlgo{.name = "trivial", .gamma = 0.05}};
+  job.noise = JobNoise{.kind = NoiseKind::kSigmoid, .lambda = 1.0};
+  job.demands = {Count{20}, Count{10}};
+  job.n_ants = 60;
+  job.rounds = 20;
+  job.seed = 5;
+  job.replicates = 1;
+  job.initial = InitialKind::kIdle;
+  constexpr int kJobs = 65;
+
+  DaemonServer server;
+  server.start();
+  DaemonClient client("127.0.0.1", server.port());
+  FeedAssembler newest;
+  JobAccepted accepted;
+  for (int i = 0; i < kJobs; ++i) {
+    newest = submit_and_stream(client, job, &accepted);
+    ASSERT_TRUE(newest.done());
+  }
+  ASSERT_EQ(accepted.job_id, static_cast<std::uint64_t>(kJobs));
+
+  // The job body records its finish just after its JobDone goes out, so the
+  // eviction may trail the last JobDone by a moment: until then job 1
+  // still replays.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool evicted = false;
+  while (!evicted && std::chrono::steady_clock::now() < deadline) {
+    client.send(Message{Subscribe{.job_id = 1}});
+    const Message reply = client.recv();
+    if (const auto* err = std::get_if<ErrorMsg>(&reply)) {
+      EXPECT_EQ(err->code, 404u);
+      evicted = true;
+      break;
+    }
+    FeedAssembler replay;  // still retained: drain its replay, retry
+    bool done = replay.fold(reply);
+    while (!done) done = replay.fold(client.recv());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(evicted) << "job 1 was never evicted";
+
+  client.send(Message{CancelJob{.job_id = 1}});
+  const Message cancel_reply = client.recv();
+  ASSERT_TRUE(std::holds_alternative<ErrorMsg>(cancel_reply));
+  EXPECT_EQ(std::get<ErrorMsg>(cancel_reply).code, 404u);
+
+  client.send(Message{Subscribe{.job_id = accepted.job_id}});
+  FeedAssembler replay;
+  while (!replay.fold(client.recv())) {
+  }
+  ASSERT_TRUE(replay.snapshot().has_value());
+  EXPECT_EQ(replay.snapshot()->state, JobState::kDone);
+  EXPECT_TRUE(replay.verify());
+  expect_result_bit_identical(replay.result(), newest.result());
   server.stop();
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "aggregate/aggregate_sim.h"
 #include "agent/agent_sim.h"
@@ -79,14 +80,11 @@ TEST_F(GoldenLoads, AgentRunsAreStableWithinProcess) {
 
 TEST_F(GoldenLoads, AntAggregateSnapshot) {
   const auto res = golden_aggregate("ant");
-  // Loads must be sane and exactly reproducible across builds with the same
-  // RNG; sanity bounds guard against silent distribution changes without
-  // hardcoding platform-independent exact values for std::binomial_distribution
-  // (whose algorithm libstdc++ may legally change between versions).
-  EXPECT_GE(res.final_loads[0], 250);
-  EXPECT_LE(res.final_loads[0], 350);
-  EXPECT_GE(res.final_loads[1], 160);
-  EXPECT_LE(res.final_loads[1], 240);
+  // Every count draw comes from rng::binomial on Xoshiro256 alone, so the
+  // kernel's stream is the same on every platform and standard library.
+  EXPECT_EQ(res.final_loads, (std::vector<Count>{321, 215}));
+  EXPECT_EQ(res.total_regret, 623514.0);
+  EXPECT_EQ(res.switches, 269140);
 }
 
 // Replay determinism golden: a committed trace fixture re-driven through

@@ -50,8 +50,9 @@ TEST(MedianLackProbability, AmplifiesTowardsCertainty) {
   // lack with probability much closer to 1.
   const std::vector<double> p5(5, 0.8);
   const std::vector<double> p41(41, 0.8);
-  const double m5 = median_lack_probability(p5);
-  const double m41 = median_lack_probability(p41);
+  std::vector<double> pmf;  // one buffer, regrown between window sizes
+  const double m41 = median_lack_probability(p41, pmf);
+  const double m5 = median_lack_probability(p5, pmf);
   EXPECT_GT(m5, 0.8);
   EXPECT_GT(m41, m5);
   EXPECT_GT(m41, 0.999);
@@ -59,12 +60,14 @@ TEST(MedianLackProbability, AmplifiesTowardsCertainty) {
 
 TEST(MedianLackProbability, FairCoinStaysFair) {
   const std::vector<double> p(41, 0.5);
-  EXPECT_NEAR(median_lack_probability(p), 0.5, 1e-9);
+  std::vector<double> pmf;
+  EXPECT_NEAR(median_lack_probability(p, pmf), 0.5, 1e-9);
 }
 
 TEST(MedianLackProbability, SingleSampleIsIdentity) {
   const std::vector<double> p{0.3};
-  EXPECT_NEAR(median_lack_probability(p), 0.3, 1e-12);
+  std::vector<double> pmf;
+  EXPECT_NEAR(median_lack_probability(p, pmf), 0.3, 1e-12);
 }
 
 // Precise Sigmoid's leave step is ~ εγ/(cχ·cd) per phase, so cold starts

@@ -3,8 +3,11 @@
 // Poisson-binomial samplers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <numeric>
 #include <vector>
 
@@ -223,6 +226,125 @@ INSTANTIATE_TEST_SUITE_P(
                       BinomialCase{1'000'000, 0.75},
                       BinomialCase{123'456, 1e-5}));
 
+// Exact-law check: a fixed-seed chi-square of rng::binomial against the
+// exact pmf on a grid that crosses every regime boundary: the bit sum
+// (n <= 16) vs inversion (n = 17), inversion vs BTRD (folded mean just
+// below and at 10), the p = 1/2 fold, and n up to 10^6. The pmf comes from
+// lgamma, which is fine here: this test is single-threaded.
+double log_binomial_pmf(std::int64_t n, double p, std::int64_t k) {
+  const auto nd = static_cast<double>(n);
+  const auto kd = static_cast<double>(k);
+  return std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
+         std::lgamma(nd - kd + 1.0) + kd * std::log(p) +
+         (nd - kd) * std::log1p(-p);
+}
+
+// Upper tail P(X >= x) of chi-square with `df` degrees of freedom, by the
+// Wilson-Hilferty cube-root normal approximation.
+double chi2_upper_tail(double x, double df) {
+  const double s = 2.0 / (9.0 * df);
+  const double z = (std::cbrt(x / df) - (1.0 - s)) / std::sqrt(s);
+  return 0.5 * std::erfc(z / std::numbers::sqrt2);
+}
+
+TEST(Binomial, ChiSquareAgainstExactPmfAcrossRegimes) {
+  const std::vector<BinomialCase> grid{
+      {16, 0.3},         {17, 0.3},          // bit sum | inversion
+      {1000, 0.00999},   {1000, 0.01},       // mean 9.99 | 10: inversion | BTRD
+      {19, 0.5},         {20, 0.5},          // the same boundary at tiny n
+      {40, 0.75},        {50, 0.3},          // folded BTRD near the boundary
+      {1001, 0.499},     {1001, 0.5},        // p just below and at 1/2
+      {1001, 0.501},                         // p just above 1/2 (folded)
+      {5000, 0.02},      {200, 0.25},
+      {1'000'000, 1e-5}, {1'000'000, 0.3},   // n = 10^6, means 10 and 3e5
+      {1'000'000, 0.5},  {1'000'000, 0.75},
+  };
+  constexpr int kDraws = 200'000;
+  constexpr double kFamilyAlpha = 1e-3;
+  const double alpha = kFamilyAlpha / static_cast<double>(grid.size());
+  Xoshiro256 gen(0xB1B0);
+  for (const auto& [n, p] : grid) {
+    // Cells over mean +- 12 sd; the mass outside is < 1e-30 and is folded
+    // into the two end bins with any draw that lands there.
+    const double mean = static_cast<double>(n) * p;
+    const double sd = std::sqrt(mean * (1.0 - p));
+    const auto lo = std::max<std::int64_t>(
+        0, static_cast<std::int64_t>(std::floor(mean - 12.0 * sd - 2.0)));
+    const auto hi = std::min<std::int64_t>(
+        n, static_cast<std::int64_t>(std::ceil(mean + 12.0 * sd + 2.0)));
+    std::vector<std::int64_t> hits(static_cast<std::size_t>(hi - lo + 1), 0);
+    for (int i = 0; i < kDraws; ++i) {
+      const std::int64_t x = binomial(gen, n, p);
+      ASSERT_GE(x, 0);
+      ASSERT_LE(x, n);
+      ++hits[static_cast<std::size_t>(std::clamp(x, lo, hi) - lo)];
+    }
+    // Adjacent cells merge until each bin expects >= 5 draws; a short
+    // remainder joins the last bin.
+    std::vector<double> expected_bins;
+    std::vector<double> observed_bins;
+    double e = 0.0;
+    double o = 0.0;
+    for (std::int64_t k = lo; k <= hi; ++k) {
+      e += kDraws * std::exp(log_binomial_pmf(n, p, k));
+      o += static_cast<double>(hits[static_cast<std::size_t>(k - lo)]);
+      if (e >= 5.0) {
+        expected_bins.push_back(e);
+        observed_bins.push_back(o);
+        e = o = 0.0;
+      }
+    }
+    ASSERT_FALSE(expected_bins.empty());
+    expected_bins.back() += e;
+    observed_bins.back() += o;
+    double chi2 = 0.0;
+    for (std::size_t b = 0; b < expected_bins.size(); ++b) {
+      const double d = observed_bins[b] - expected_bins[b];
+      chi2 += d * d / expected_bins[b];
+    }
+    const auto df = static_cast<double>(expected_bins.size() - 1);
+    EXPECT_GT(chi2_upper_tail(chi2, df), alpha)
+        << "n=" << n << " p=" << p << " chi2=" << chi2 << " df=" << df;
+  }
+}
+
+TEST(Binomial, StirlingCorrectionMatchesLgamma) {
+  const double half_log_2pi = 0.5 * std::log(2.0 * std::numbers::pi);
+  for (std::int64_t k = 0; k <= 40; ++k) {
+    const auto kd = static_cast<double>(k);
+    const double exact = std::lgamma(kd + 1.0) - (kd + 0.5) * std::log(kd + 1.0) +
+                         (kd + 1.0) - half_log_2pi;
+    // The table is exact (the lgamma form loses ~1e-15 to cancellation);
+    // the 3-term series above it errs by < 1e-10.
+    EXPECT_NEAR(stirling_correction(k), exact, k < 10 ? 1e-14 : 1e-10)
+        << "k=" << k;
+  }
+}
+
+// The stream is the repo's own (Xoshiro256 only, no standard-library
+// distribution), so these values hold on every platform.
+TEST(Binomial, FirstDrawsArePinned) {
+  struct Pin {
+    std::int64_t n;
+    double p;
+    std::array<std::int64_t, 8> draws;
+  };
+  const std::vector<Pin> pins{
+      {17, 0.3, {6, 4, 7, 9, 10, 7, 2, 3}},  // inversion
+      {1000, 0.3, {272, 282, 286, 303, 289, 311, 298, 312}},  // BTRD
+      {1'000'000,
+       0.75,  // BTRD, folded
+       {749523, 750156, 750544, 750440, 749987, 750351, 749798, 749443}},
+  };
+  for (const Pin& pin : pins) {
+    Xoshiro256 gen(7);
+    for (std::size_t i = 0; i < pin.draws.size(); ++i) {
+      EXPECT_EQ(binomial(gen, pin.n, pin.p), pin.draws[i])
+          << "n=" << pin.n << " p=" << pin.p << " draw " << i;
+    }
+  }
+}
+
 TEST(Multinomial, CountsSumToN) {
   Xoshiro256 gen(23);
   const std::vector<double> probs{0.2, 0.3, 0.5};
@@ -251,11 +373,10 @@ TEST(Multinomial, RestBinCollectsLeftover) {
   double rest = 0.0;
   constexpr int kDraws = 2000;
   for (int i = 0; i < kDraws; ++i) {
-    const auto counts = multinomial_rest(gen, 100, probs);
-    ASSERT_EQ(counts.size(), 3u);
-    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::int64_t{0}),
-              100);
-    rest += static_cast<double>(counts[2]);
+    std::vector<std::int64_t> counts(probs.size(), -1);
+    const std::int64_t left = multinomial_rest_into(gen, 100, probs, counts);
+    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), left), 100);
+    rest += static_cast<double>(left);
   }
   EXPECT_NEAR(rest / kDraws, 70.0, 1.5);
 }
@@ -291,9 +412,16 @@ TEST(PoissonBinomial, HeterogeneousProbabilities) {
   EXPECT_NEAR(pmf[2], 0.1 * 0.9, 1e-12);
 }
 
+std::vector<double> marginals(std::span<const double> p) {
+  std::vector<double> q(p.size(), -1.0);
+  ChoiceMarginalsWorkspace ws;
+  uniform_choice_marginals_into(p, q, ws);
+  return q;
+}
+
 TEST(UniformChoiceMarginals, SingleTask) {
   const std::vector<double> p{0.4};
-  const auto q = uniform_choice_marginals(p);
+  const auto q = marginals(p);
   ASSERT_EQ(q.size(), 1u);
   EXPECT_NEAR(q[0], 0.4, 1e-12);  // joins iff the event fires
 }
@@ -302,7 +430,7 @@ TEST(UniformChoiceMarginals, TwoSymmetricTasks) {
   // p = 0.5 each: P(join 0) = 0.5*(P(other off)*1 + P(other on)*1/2)
   //             = 0.5*(0.5 + 0.25) = 0.375.
   const std::vector<double> p{0.5, 0.5};
-  const auto q = uniform_choice_marginals(p);
+  const auto q = marginals(p);
   EXPECT_NEAR(q[0], 0.375, 1e-12);
   EXPECT_NEAR(q[1], 0.375, 1e-12);
 }
@@ -310,7 +438,7 @@ TEST(UniformChoiceMarginals, TwoSymmetricTasks) {
 TEST(UniformChoiceMarginals, SumIsJoinProbability) {
   // Sum of marginals = P(at least one event fires).
   const std::vector<double> p{0.2, 0.7, 0.4};
-  const auto q = uniform_choice_marginals(p);
+  const auto q = marginals(p);
   const double sum = std::accumulate(q.begin(), q.end(), 0.0);
   const double p_any = 1.0 - (0.8 * 0.3 * 0.6);
   EXPECT_NEAR(sum, p_any, 1e-12);
@@ -318,7 +446,7 @@ TEST(UniformChoiceMarginals, SumIsJoinProbability) {
 
 TEST(UniformChoiceMarginals, MonteCarloAgreement) {
   const std::vector<double> p{0.3, 0.6, 0.1, 0.8};
-  const auto q = uniform_choice_marginals(p);
+  const auto q = marginals(p);
   Xoshiro256 gen(41);
   std::vector<double> empirical(4, 0.0);
   constexpr int kDraws = 200'000;
