@@ -5,33 +5,38 @@
 // Theory predicts the transient is dominated by draining the one-time join
 // flood at rate ~γ/(2·cd) per phase: time-to-band ~ (2·cd/γ)·ln(n/Σd),
 // i.e. ∝ 1/γ at fixed shape and only logarithmic in n. Both shapes are
-// checked. Built on the sweep utility + convergence metrics.
-#include <cmath>
+// checked. Built on the replicated experiment façade + the streaming
+// "convergence" metric.
+#include <memory>
 
-#include "metrics/convergence.h"
-#include "sim/sweep.h"
 #include "common.h"
 
 using namespace antalloc;
 
 namespace {
 
-double time_to_band(double gamma, Count n, Count demand, double lambda,
-                    std::uint64_t seed) {
-  const DemandVector demands({demand, demand});
-  AlgoConfig algo{.name = "ant", .gamma = gamma};
-  auto kernel = make_aggregate_kernel(algo);
-  SigmoidFeedback fm(lambda);
+// Rounds until every deficit first enters the band, over `replicates`
+// seeded runs; a run that never enters counts as the whole horizon.
+RunningStats time_to_band(double gamma, Count n, Count demand, double lambda,
+                          std::uint64_t seed, std::int64_t replicates) {
   const Round rounds = 60'000;
-  AggregateSimConfig cfg{
-      .n_ants = n,
-      .rounds = rounds,
-      .seed = seed,
-      .metrics = {.gamma = gamma, .trace_stride = 4}};
-  const auto res = run_aggregate_sim(*kernel, fm, demands, cfg);
-  const auto stats = measure_convergence(res.trace, demands, gamma);
-  return stats.converged() ? static_cast<double>(stats.first_in_band)
-                           : static_cast<double>(rounds);
+  ExperimentConfig cfg;
+  cfg.algo = AlgoConfig{.name = "ant", .gamma = gamma};
+  cfg.n_ants = n;
+  cfg.rounds = rounds;
+  cfg.seed = seed;
+  // The band is 5*gamma*d at the algorithm's own gamma; the recorder's
+  // default band gamma is a fixed 0.01.
+  cfg.metrics.gamma = gamma;
+  cfg.metrics.names = {"convergence"};
+  const auto results = run_replicated_experiment(
+      cfg, [&] { return std::make_unique<SigmoidFeedback>(lambda); },
+      DemandSchedule(DemandVector({demand, demand})), replicates);
+  RunningStats stats;
+  for (const double first : extract_metric(results, "convergence_round")) {
+    stats.add(first < 0.0 ? static_cast<double>(rounds) : first);
+  }
+  return stats;
 }
 
 }  // namespace
@@ -56,12 +61,8 @@ int main(int argc, char** argv) {
   const Count n_fixed = 8 * demand;
   double first_product = 0.0;
   for (const double gamma : {0.025, 0.05, 0.0625}) {
-    const auto results = run_sweep(
-        {{"g", {gamma}}}, replicates, 5,
-        [&](const SweepPoint& p, std::uint64_t seed) {
-          return time_to_band(p.at("g"), n_fixed, demand, lambda, seed);
-        });
-    const auto& s = results[0].stats;
+    const RunningStats s =
+        time_to_band(gamma, n_fixed, demand, lambda, 5, replicates);
     const double product = gamma * s.mean();
     if (first_product == 0.0) first_product = product;
     ctx.table.add_row({"gamma", Table::fmt(gamma, 4), Table::fmt(n_fixed),
@@ -81,12 +82,8 @@ int main(int argc, char** argv) {
   double largest = 0.0;
   for (const Count mult : {4, 16, 64}) {
     const Count n = mult * 2 * demand;
-    const auto results = run_sweep(
-        {{"n", {static_cast<double>(n)}}}, replicates, 9,
-        [&](const SweepPoint&, std::uint64_t seed) {
-          return time_to_band(gamma_fixed, n, demand, lambda, seed);
-        });
-    const auto& s = results[0].stats;
+    const RunningStats s =
+        time_to_band(gamma_fixed, n, demand, lambda, 9, replicates);
     if (smallest == 0.0) smallest = s.mean();
     largest = s.mean();
     ctx.table.add_row({"n", Table::fmt(gamma_fixed, 4), Table::fmt(n),

@@ -225,7 +225,9 @@ BENCHMARK(BM_AggregatePreciseSigmoidRound);
 
 // arg0 = colony size, arg1 = sampling mode (0 per-ant, 1 batched). The
 // batched arm drives the runner directly, the same work run_agent_sim's fast
-// path does per round.
+// path does per round. Units follow each arm's cost model: a per-ant round
+// is O(n·k), so that arm reports ant-rounds/s; a batched round is
+// O(k + moves), so that arm reports rounds/s.
 void BM_AgentAntRound(benchmark::State& state) {
   const auto n = static_cast<Count>(state.range(0));
   const bool batched = state.range(1) != 0;
@@ -263,7 +265,8 @@ void BM_AgentAntRound(benchmark::State& state) {
     }
   }
   state.SetLabel(batched ? "batched" : "per-ant");
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(batched ? state.iterations()
+                                  : state.iterations() * n);
 }
 BENCHMARK(BM_AgentAntRound)
     ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {0, 1}});

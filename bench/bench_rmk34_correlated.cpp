@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   const double budget =
       5.0 * gamma * static_cast<double>(demands.total()) + 3.0 * k;
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const RunningStats& regret = result.cells[i].regret;
+    const RunningStats& regret = result.metric(result.cells[i], "regret");
     if (i == 0) baseline = regret.mean();
     ctx.table.add_row({result.cells[i].noise.substr(4),
                        Table::fmt(regret.mean(), 5),

@@ -72,8 +72,8 @@ int main() {
               "avg regret", "switches/ant/rd");
   for (const auto& cell : result.cells) {
     std::printf("%-16s %-22s %12.1f %14.5f\n", cell.noise.c_str(),
-                cell.algo.c_str(), cell.regret.mean(),
-                cell.switches_per_ant_round);
+                cell.algo.c_str(), result.metric(cell, "regret").mean(),
+                result.metric(cell, "switches_per_ant_round").mean());
   }
   std::printf("\n(Theorem 3.5 floor: any algorithm pays >= ~gamma_ad*sum(d) = "
               "%.0f per round in the worst case.)\n",

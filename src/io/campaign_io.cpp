@@ -297,10 +297,6 @@ CampaignCell parse_row(const std::string& line,
     cell.metric_stats.push_back(
         stats_from_fields(fields, kRowsFixedColumns + 5 * si, context));
   }
-  // Rebuild the legacy views through the same mapping run_campaign uses:
-  // the restored state is the shard's bits, so mean() reproduces the same
-  // double the shard computed.
-  cell.fill_legacy_views(specs);
   return cell;
 }
 

@@ -118,8 +118,8 @@ std::string shard_rows_header(const std::vector<MetricScalar>& specs);
 std::string encode_cell_row(const CampaignCell& cell,
                             const std::vector<MetricScalar>& specs);
 
-// Parses one row back, legacy views filled. Throws std::runtime_error
-// (messages prefixed with `context`) on any malformed field.
+// Parses one row back. Throws std::runtime_error (messages prefixed with
+// `context`) on any malformed field.
 CampaignCell parse_cell_row(const std::string& line,
                             const std::vector<MetricScalar>& specs,
                             const std::string& context);

@@ -95,11 +95,6 @@ void MetricsRecorder::record_round(const RoundView& view) {
   if (opts_.sink != nullptr) opts_.sink->on_round(view);
 }
 
-void MetricsRecorder::record_round(Round t, std::span<const Count> loads,
-                                   const DemandVector& demands) {
-  record_round(RoundView{.t = t, .loads = loads, .demands = &demands});
-}
-
 SimResult MetricsRecorder::finish(std::span<const Count> final_loads) {
   result_.final_loads.assign(final_loads.begin(), final_loads.end());
   for (const auto& observer : observers_) {

@@ -110,15 +110,6 @@ class MetricsRecorder {
   // changes applied during round t (lifecycle flush included).
   void record_round(const RoundView& view);
 
-  // Legacy form for bespoke drivers: all tasks active, no switch count
-  // (the "switches" observer sees 0 — use add_switches only for totals).
-  void record_round(Round t, std::span<const Count> loads,
-                    const DemandVector& demands);
-
-  // Accrues into the legacy SimResult::switches total only; streaming
-  // observers never see these. Engines report switches via RoundView.
-  void add_switches(std::int64_t count) { result_.switches += count; }
-
   // Finalizes and returns the summary (loads = final visible loads).
   SimResult finish(std::span<const Count> final_loads);
 

@@ -166,10 +166,9 @@ CampaignResult FeedAssembler::result() const {
   }
   CampaignResult out;
   out.metrics = snapshot_->metrics;
-  const std::vector<MetricScalar> specs = out.scalar_columns();
   out.cells.reserve(cells_.size());
   for (const auto& [flat_index, u] : cells_) {  // map order == flat order
-    out.cells.push_back(cell_from_update(u, specs));
+    out.cells.push_back(cell_from_update(u));
   }
   return out;
 }

@@ -77,7 +77,7 @@ class FeedAssembler {
   }
   std::size_t cells_seen() const { return cells_.size(); }
 
-  // The reassembled result (cells in flat order, legacy views filled).
+  // The reassembled result (cells in flat order).
   // Requires a snapshot to have arrived.
   CampaignResult result() const;
 

@@ -20,8 +20,7 @@ CellUpdate cell_update_from(const CampaignCell& cell) {
   return u;
 }
 
-CampaignCell cell_from_update(const CellUpdate& u,
-                              std::span<const MetricScalar> specs) {
+CampaignCell cell_from_update(const CellUpdate& u) {
   CampaignCell cell;
   cell.flat_index = static_cast<std::size_t>(u.flat_index);
   cell.scenario = u.scenario;
@@ -32,7 +31,6 @@ CampaignCell cell_from_update(const CellUpdate& u,
   for (const RunningStats::State& s : u.stats) {
     cell.metric_stats.push_back(RunningStats::from_state(s));
   }
-  cell.fill_legacy_views(specs);
   return cell;
 }
 

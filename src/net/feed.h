@@ -113,10 +113,8 @@ class JobFeed final : public CampaignProgress {
 // and snapshots, and by the coordinator's CellResult frames).
 CellUpdate cell_update_from(const CampaignCell& cell);
 
-// Its inverse: the wire cell back into the in-process one, legacy views
-// filled from `specs` (the campaign's scalar columns). Used by
+// Its inverse: the wire cell back into the in-process one. Used by
 // net/client.h's reassembly and the coordinator's merge.
-CampaignCell cell_from_update(const CellUpdate& u,
-                              std::span<const MetricScalar> specs);
+CampaignCell cell_from_update(const CellUpdate& u);
 
 }  // namespace antalloc

@@ -264,8 +264,8 @@ struct JobSpec {
   Engine engine = Engine::kAuto;
   SamplingMode sampling = SamplingMode::kBatched;
   InitialKind initial = InitialKind::kIdle;
-  // Recorder band gamma; <= 0 keeps the recorder default (each algorithm's
-  // learning rate resolves per cell inside the campaign).
+  // Recorder band gamma; <= 0 keeps the recorder default, a fixed 0.01 for
+  // every algorithm (the CLI and client set it from --gamma).
   double metrics_gamma = 0.0;
   std::vector<std::string> metrics;  // registry selection; empty = default
 };

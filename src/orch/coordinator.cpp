@@ -21,7 +21,7 @@ CoordinatorServer::CoordinatorServer(CoordinatorOptions opts)
       config_hash_(campaign_config_hash(config_)),
       total_cells_(campaign_total_cells(config_)),
       metrics_(resolve_metric_names(config_.metrics.names)),
-      specs_(metric_scalar_columns(metrics_)),
+      n_scalars_(metric_scalar_columns(metrics_).size()),
       reactor_(*this, ReactorOptions{.port = opts_.port}),
       table_(total_cells_, opts_.lease),
       merger_(total_cells_, metrics_,
@@ -99,8 +99,12 @@ const CampaignResult& CoordinatorServer::result() const {
 }
 
 CoordinatorServer::Stats CoordinatorServer::stats() const {
+  const Reactor::Stats io = reactor_.stats();
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  Stats out = stats_;
+  out.connections_accepted = io.connections_accepted;
+  out.evictions = io.evictions;
+  return out;
 }
 
 // Command core (poll thread). ------------------------------------------------
@@ -191,10 +195,10 @@ void CoordinatorServer::handle_cell_result(std::uint64_t conn_id,
     return;
   }
   if (res.cell.flat_index >= total_cells_ ||
-      res.cell.stats.size() != specs_.size()) {
+      res.cell.stats.size() != n_scalars_) {
     throw ProtocolTornPayloadError("CellResult shape contradicts campaign");
   }
-  fold_cell(cell_from_update(res.cell, specs_));
+  fold_cell(cell_from_update(res.cell));
 }
 
 void CoordinatorServer::fold_cell(CampaignCell cell) {

@@ -125,6 +125,8 @@ class CoordinatorServer final : private Reactor::Handler {
     std::uint64_t cells_folded = 0;     // fresh first completions
     std::uint64_t cells_recovered = 0;  // from the journal at startup
     std::uint64_t duplicates_verified = 0;
+    std::uint64_t connections_accepted = 0;  // from the reactor
+    std::uint64_t evictions = 0;             // from the reactor
   };
   Stats stats() const;
 
@@ -163,7 +165,7 @@ class CoordinatorServer final : private Reactor::Handler {
   std::uint64_t config_hash_ = 0;
   std::size_t total_cells_ = 0;
   std::vector<std::string> metrics_;  // resolved selection
-  std::vector<MetricScalar> specs_;
+  std::size_t n_scalars_ = 0;  // per-cell Welford states on the wire
   Reactor reactor_;  // the sockets; also the feed's FrameSink
 
   // Campaign state: poll-thread-owned after start() (the constructor touches

@@ -53,23 +53,24 @@ std::uint64_t mix_u64(std::uint64_t h, std::uint64_t v) {
 
 }  // namespace
 
-void CampaignCell::fill_legacy_views(std::span<const MetricScalar> specs) {
-  for (std::size_t si = 0; si < specs.size(); ++si) {
-    const std::string& s = specs[si].name;
-    if (s == "regret") {
-      regret = metric_stats[si];
-    } else if (s == "violations") {
-      violations = metric_stats[si];
-    } else if (s == "switches_per_ant_round") {
-      switches_per_ant_round = metric_stats[si].mean();
-    }
-  }
-}
-
 std::vector<MetricScalar> CampaignResult::scalar_columns() const {
   // metric_scalar_columns resolves an empty selection to the default set,
   // which is also the right reading for hand-built results.
   return metric_scalar_columns(metrics);
+}
+
+const RunningStats& CampaignResult::metric(const CampaignCell& cell,
+                                           std::string_view name) const {
+  const std::vector<MetricScalar> specs = scalar_columns();
+  std::string known;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].name == name) return cell.metric_stats.at(i);
+    if (!known.empty()) known += ", ";
+    known += specs[i].name;
+  }
+  throw std::invalid_argument("CampaignResult::metric: no scalar '" +
+                              std::string(name) + "' (selected: " + known +
+                              ")");
 }
 
 Table CampaignResult::table() const {
@@ -309,7 +310,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         cell.metric_stats[k].add(r.metric(scalar_specs[k].name));
       }
     }
-    cell.fill_legacy_views(scalar_specs);
     if (cfg.keep_results) {
       cell.results = std::move(slots[ci]);
     } else {

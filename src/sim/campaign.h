@@ -34,8 +34,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algo/registry.h"
@@ -92,7 +92,7 @@ class CampaignProgress {
     std::size_t cells_in_flight = 0;  // >=1 replicate started, not yet folded
     std::int64_t replicates_done = 0; // replicates finished across all cells
     std::uint64_t steals = 0;         // executor steals since campaign start
-    // The cell that just folded, statistics final, legacy views filled.
+    // The cell that just folded, statistics final.
     // Valid only for the duration of the callback (it points into the
     // result under construction) — copy what you need. Lets a streaming
     // consumer (the daemon's live metric feed, net/feed.h) forward folded
@@ -120,8 +120,10 @@ struct CampaignConfig {
   // different (equivalent-in-law) streams, so their numbers differ
   // bit-wise and shards must not mix them.
   SamplingMode sampling = SamplingMode::kBatched;
-  // metrics.gamma <= 0 inherits each algorithm's learning rate; warmup 0
-  // defaults to rounds/2 so post-warmup regret is meaningful out of the box.
+  // metrics.gamma is the band gamma of every cell. Left alone it is the
+  // recorder default, a fixed 0.01 for every algorithm; set it <= 0 to band
+  // each cell at its algorithm's learning rate instead. warmup 0 defaults
+  // to rounds/2 so post-warmup regret is meaningful out of the box.
   // metrics.names selects the streaming metrics (metrics/metric.h) every
   // cell computes: their scalars become the per-cell statistics, the
   // table()/to_csv() columns and the shard CSV columns. Empty = the default
@@ -182,22 +184,10 @@ struct CampaignCell {
   std::string noise;
   Engine engine = Engine::kAggregate;  // the engine the cell resolved to
   // Replicate statistics of every selected metric scalar, parallel to
-  // CampaignResult::scalar_columns() — the primary, selection-driven view.
+  // CampaignResult::scalar_columns(); CampaignResult::metric looks one up
+  // by name.
   std::vector<RunningStats> metric_stats;
-  // Legacy views of the three historical statistics, filled whenever the
-  // corresponding scalar is selected (always true for the default set):
-  // regret = the "regret" scalar's stats, violations = "violations",
-  // switches_per_ant_round = the "switches_per_ant_round" replicate mean.
-  RunningStats regret;
-  RunningStats violations;
-  double switches_per_ant_round = 0.0;
   std::vector<SimResult> results;  // per replicate; empty unless kept
-
-  // (Re)derives the legacy views above from metric_stats, whose layout is
-  // `specs`. The single source of the scalar-name -> legacy-field mapping:
-  // run_campaign and the shard reader both go through it, which is what
-  // keeps merged and unsharded legacy fields bit-identical.
-  void fill_legacy_views(std::span<const MetricScalar> specs);
 };
 
 struct CampaignResult {
@@ -209,6 +199,13 @@ struct CampaignResult {
   // Flattened scalar column specs for `metrics` — the layout of every
   // cell's metric_stats and of the table()/to_csv()/shard CSV columns.
   std::vector<MetricScalar> scalar_columns() const;
+
+  // Scalar lookup, the campaign analogue of SimResult::metric: the replicate
+  // statistics of the selected scalar `name` (e.g. "regret",
+  // "switches_per_ant_round") in `cell`, one of this result's cells. Throws
+  // std::invalid_argument naming the selected scalars otherwise.
+  const RunningStats& metric(const CampaignCell& cell,
+                             std::string_view name) const;
 
   // Tidy results: one row per cell with labels plus, per selected scalar,
   // the replicate mean (and a ci95 column where the metric declares one).

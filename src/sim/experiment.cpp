@@ -157,17 +157,4 @@ std::vector<double> extract_metric(const std::vector<SimResult>& results,
   return out;
 }
 
-std::vector<double> extract_post_warmup_average(
-    const std::vector<SimResult>& results) {
-  return extract_metric(results, "regret");
-}
-
-std::vector<double> extract_closeness(const std::vector<SimResult>& results,
-                                      double gamma_star, Count total_demand) {
-  std::vector<double> out = extract_metric(results, "regret");
-  const double denom = gamma_star * static_cast<double>(total_demand);
-  for (double& value : out) value = denom > 0.0 ? value / denom : 0.0;
-  return out;
-}
-
 }  // namespace antalloc

@@ -116,12 +116,4 @@ std::vector<SimResult> run_replicated_experiment(
 std::vector<double> extract_metric(const std::vector<SimResult>& results,
                                    std::string_view name);
 
-// Legacy extraction shims — thin wrappers over extract_metric, kept so the
-// benches compile unchanged. extract_post_warmup_average is the "regret"
-// scalar; extract_closeness is that scalar rescaled by 1/(γ*·Σd).
-std::vector<double> extract_post_warmup_average(
-    const std::vector<SimResult>& results);
-std::vector<double> extract_closeness(const std::vector<SimResult>& results,
-                                      double gamma_star, Count total_demand);
-
 }  // namespace antalloc

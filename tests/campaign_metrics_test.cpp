@@ -35,10 +35,6 @@ TEST(CampaignMetrics, CellsCarryPerScalarStats) {
     for (const RunningStats& stats : cell.metric_stats) {
       EXPECT_EQ(stats.count(), cfg.replicates);
     }
-    // The "regret" scalar mirrors into the legacy field; the unselected
-    // legacy statistics stay empty.
-    expect_stats_identical(cell.regret, cell.metric_stats[0]);
-    EXPECT_EQ(cell.violations.count(), 0);
   }
   // The table grows one column per scalar (plus regret's ci95).
   const std::string header =
@@ -60,9 +56,30 @@ TEST(CampaignMetrics, DefaultSelectionKeepsHistoricalColumns) {
             "violations_mean,switches_per_ant_round");
   for (const CampaignCell& cell : result.cells) {
     ASSERT_EQ(cell.metric_stats.size(), 3u);
-    expect_stats_identical(cell.regret, cell.metric_stats[0]);
-    expect_stats_identical(cell.violations, cell.metric_stats[1]);
-    EXPECT_EQ(cell.switches_per_ant_round, cell.metric_stats[2].mean());
+  }
+}
+
+TEST(CampaignMetrics, LookupByScalarName) {
+  const CampaignResult result = run_campaign(metric_matrix({}));
+  const auto specs = result.scalar_columns();
+  ASSERT_EQ(specs.size(), 3u);
+  for (const CampaignCell& cell : result.cells) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE(specs[i].name);
+      const RunningStats& stats = result.metric(cell, specs[i].name);
+      expect_stats_identical(stats, cell.metric_stats[i]);
+    }
+  }
+  // An unselected scalar throws, naming the selected ones.
+  try {
+    result.metric(result.cells.front(), "convergence_round");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("convergence_round"), std::string::npos) << what;
+    EXPECT_NE(what.find("regret, violations, switches_per_ant_round"),
+              std::string::npos)
+        << what;
   }
 }
 
@@ -116,7 +133,6 @@ TEST(CampaignMetrics, CustomSelectionShardRoundTripBitIdentical) {
     for (std::size_t si = 0; si < x.metric_stats.size(); ++si) {
       expect_stats_identical(x.metric_stats[si], y.metric_stats[si]);
     }
-    EXPECT_EQ(x.switches_per_ant_round, y.switches_per_ant_round);
     // Per-replicate scalar maps round-trip through the results CSV.
     ASSERT_EQ(x.results.size(), y.results.size());
     for (std::size_t r = 0; r < x.results.size(); ++r) {

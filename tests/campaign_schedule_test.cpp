@@ -78,7 +78,6 @@ CampaignResult reference_sequential(const CampaignConfig& cfg) {
             cell.metric_stats[k].add(r.metric(specs[k].name));
           }
         }
-        cell.fill_legacy_views(specs);
         out.cells.push_back(std::move(cell));
       }
     }

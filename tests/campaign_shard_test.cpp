@@ -18,6 +18,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using test_util::expect_stats_identical;
 using test_util::make_temp_dir;
 using test_util::shard_matrix;
 
@@ -30,14 +31,14 @@ CampaignResult run_all_shards_merged(CampaignConfig cfg, std::size_t count) {
   return merge_campaign_shards(std::move(shards), campaign_total_cells(cfg));
 }
 
-void expect_stats_identical(const RunningStats& a, const RunningStats& b) {
-  const auto sa = a.state();
-  const auto sb = b.state();
-  EXPECT_EQ(sa.count, sb.count);
-  EXPECT_EQ(sa.mean, sb.mean);
-  EXPECT_EQ(sa.m2, sb.m2);
-  EXPECT_EQ(sa.min, sb.min);
-  EXPECT_EQ(sa.max, sb.max);
+// Every selected scalar of two cells, every RunningStats::State word.
+void expect_metric_stats_identical(const CampaignCell& x,
+                                   const CampaignCell& y) {
+  ASSERT_EQ(x.metric_stats.size(), y.metric_stats.size());
+  for (std::size_t si = 0; si < x.metric_stats.size(); ++si) {
+    SCOPED_TRACE("scalar " + std::to_string(si));
+    expect_stats_identical(x.metric_stats[si], y.metric_stats[si]);
+  }
 }
 
 // Bit-identical over everything the disk format round-trips (the whole
@@ -54,9 +55,7 @@ void expect_bit_identical(const CampaignResult& a, const CampaignResult& b,
     EXPECT_EQ(x.algo, y.algo);
     EXPECT_EQ(x.noise, y.noise);
     EXPECT_EQ(x.engine, y.engine);
-    expect_stats_identical(x.regret, y.regret);
-    expect_stats_identical(x.violations, y.violations);
-    EXPECT_EQ(x.switches_per_ant_round, y.switches_per_ant_round);
+    expect_metric_stats_identical(x, y);
     if (compare_results) {
       ASSERT_EQ(x.results.size(), y.results.size());
       for (std::size_t r = 0; r < x.results.size(); ++r) {
@@ -132,7 +131,7 @@ TEST(CampaignShard, ShardRunsOnlyItsCells) {
     const CampaignCell& ref = full.cells[cell.flat_index];
     EXPECT_EQ(cell.scenario, ref.scenario);
     EXPECT_EQ(cell.algo, ref.algo);
-    expect_stats_identical(cell.regret, ref.regret);
+    expect_metric_stats_identical(cell, ref);
   }
 }
 

@@ -29,7 +29,7 @@ TEST(Campaign, MatrixShapeAndLabels) {
   for (const auto& cell : result.cells) {
     EXPECT_EQ(cell.noise, "sigmoid");
     EXPECT_EQ(cell.engine, Engine::kAggregate);  // auto + iid noise + kernels
-    EXPECT_EQ(cell.regret.count(), 3);
+    EXPECT_EQ(result.metric(cell, "regret").count(), 3);
     ASSERT_EQ(cell.results.size(), 3u);
     EXPECT_GT(cell.results[0].total_regret, 0.0);
   }
@@ -50,10 +50,11 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
 
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.cells[i].regret.mean(), b.cells[i].regret.mean()) << i;
-    EXPECT_DOUBLE_EQ(a.cells[i].violations.mean(),
-                     b.cells[i].violations.mean())
-        << i;
+    for (const char* scalar : {"regret", "violations"}) {
+      EXPECT_DOUBLE_EQ(a.metric(a.cells[i], scalar).mean(),
+                       b.metric(b.cells[i], scalar).mean())
+          << i << " " << scalar;
+    }
   }
   // And the rendered artifacts match byte for byte.
   EXPECT_EQ(a.to_csv(), b.to_csv());
@@ -70,7 +71,8 @@ TEST(Campaign, CellsAreSeedSeparated) {
   const auto result = run_campaign(cfg);
   ASSERT_EQ(result.cells.size(), 2u);
   EXPECT_EQ(result.cells[0].scenario, result.cells[1].scenario);
-  EXPECT_NE(result.cells[0].regret.mean(), result.cells[1].regret.mean());
+  EXPECT_NE(result.metric(result.cells[0], "regret").mean(),
+            result.metric(result.cells[1], "regret").mean());
 }
 
 TEST(Campaign, PairedNoiseSeedsShareTrialSeeds) {
@@ -84,11 +86,12 @@ TEST(Campaign, PairedNoiseSeedsShareTrialSeeds) {
   cfg.pair_noise_seeds = true;
   const auto result = run_campaign(cfg);
   ASSERT_EQ(result.cells.size(), 4u);  // 2 scenarios x 1 algo x 2 noises
-  EXPECT_DOUBLE_EQ(result.cells[0].regret.mean(),
-                   result.cells[1].regret.mean());
+  EXPECT_DOUBLE_EQ(result.metric(result.cells[0], "regret").mean(),
+                   result.metric(result.cells[1], "regret").mean());
   cfg.pair_noise_seeds = false;
   const auto unpaired = run_campaign(cfg);
-  EXPECT_NE(unpaired.cells[0].regret.mean(), unpaired.cells[1].regret.mean());
+  EXPECT_NE(unpaired.metric(unpaired.cells[0], "regret").mean(),
+            unpaired.metric(unpaired.cells[1], "regret").mean());
 }
 
 TEST(Campaign, NoiseAxisAndEngineResolution) {

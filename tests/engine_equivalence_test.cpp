@@ -178,14 +178,16 @@ TEST(EngineEquivalenceRegistry, RegretDistributionsAgreeAcrossScenarioZoo) {
       cfg.engine = Engine::kAgent;
       cfg.sampling = SamplingMode::kPerAnt;  // pin the legacy stream arm
       cfg.seed = 1000;
-      const auto agent_regret = extract_post_warmup_average(
+      const auto agent_regret = extract_metric(
           run_replicated_experiment(cfg, make_fm, scenario.schedule,
-                                    kReplicates));
+                                    kReplicates),
+          "regret");
       cfg.engine = Engine::kAggregate;
       cfg.seed = 2000;
-      const auto agg_regret = extract_post_warmup_average(
+      const auto agg_regret = extract_metric(
           run_replicated_experiment(cfg, make_fm, scenario.schedule,
-                                    kReplicates));
+                                    kReplicates),
+          "regret");
 
       const RunningStats agent_stats = summarize(agent_regret);
       const RunningStats agg_stats = summarize(agg_regret);
@@ -210,9 +212,10 @@ TEST(EngineEquivalenceRegistry, RegretDistributionsAgreeAcrossScenarioZoo) {
         cfg.engine = Engine::kAgent;
         cfg.sampling = SamplingMode::kBatched;
         cfg.seed = 3000;
-        const auto batched_regret = extract_post_warmup_average(
+        const auto batched_regret = extract_metric(
             run_replicated_experiment(cfg, make_fm, scenario.schedule,
-                                      kReplicates));
+                                      kReplicates),
+            "regret");
         const RunningStats batched_stats = summarize(batched_regret);
         const double batched_tol =
             4.0 * std::sqrt(batched_stats.stderr_mean() *
@@ -270,20 +273,23 @@ TEST(EngineEquivalenceOutOfModel, IdlePoolExhaustionAgrees) {
       cfg.engine = Engine::kAgent;
       cfg.sampling = SamplingMode::kPerAnt;  // pin the legacy stream arm
       cfg.seed = 1000;
-      const auto agent_regret = extract_post_warmup_average(
-          run_replicated_experiment(cfg, make_fm, schedule, kReplicates));
+      const auto agent_regret = extract_metric(
+          run_replicated_experiment(cfg, make_fm, schedule, kReplicates),
+          "regret");
       cfg.engine = Engine::kAggregate;
       cfg.seed = 2000;
-      const auto agg_regret = extract_post_warmup_average(
-          run_replicated_experiment(cfg, make_fm, schedule, kReplicates));
+      const auto agg_regret = extract_metric(
+          run_replicated_experiment(cfg, make_fm, schedule, kReplicates),
+          "regret");
 
       // Batched arm: the idle-pool clamp must agree out of model too (joins
       // are drawn from the same finite pool in all three realizations).
       cfg.engine = Engine::kAgent;
       cfg.sampling = SamplingMode::kBatched;
       cfg.seed = 3000;
-      const auto batched_regret = extract_post_warmup_average(
-          run_replicated_experiment(cfg, make_fm, schedule, kReplicates));
+      const auto batched_regret = extract_metric(
+          run_replicated_experiment(cfg, make_fm, schedule, kReplicates),
+          "regret");
 
       const RunningStats agent_stats = summarize(agent_regret);
       const RunningStats agg_stats = summarize(agg_regret);

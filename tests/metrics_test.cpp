@@ -23,8 +23,8 @@ TEST(MetricsRecorder, PlainRegretAccumulates) {
   MetricsRecorder rec(2, 100, {.gamma = 0.1});
   const std::vector<Count> loads1{Count{10}, Count{20}};  // perfect
   const std::vector<Count> loads2{Count{5}, Count{25}};   // |5| + |-5|
-  rec.record_round(1, loads1, d);
-  rec.record_round(2, loads2, d);
+  rec.record_round({.t = 1, .loads = loads1, .demands = &d});
+  rec.record_round({.t = 2, .loads = loads2, .demands = &d});
   const SimResult res = rec.finish(loads2);
   EXPECT_EQ(res.rounds, 2);
   EXPECT_DOUBLE_EQ(res.total_regret, 10.0);
@@ -37,9 +37,11 @@ TEST(MetricsRecorder, DecompositionSplitsCorrectly) {
   // Task demand 100: overload band starts at 128.8, lack band at 61.2.
   const DemandVector d({Count{100}});
   MetricsRecorder rec(1, 1000, {.gamma = 0.1});
-  rec.record_round(1, std::vector<Count>{Count{150}}, d);  // r+ = 21.2, r = 50
-  rec.record_round(2, std::vector<Count>{Count{40}}, d);   // r- = 21.2, r = 60
-  rec.record_round(3, std::vector<Count>{Count{100}}, d);  // all zero
+  // Loads 150 (r+ = 21.2, r = 50), 40 (r- = 21.2, r = 60), 100 (all zero).
+  const std::vector<Count> loads{Count{150}, Count{40}, Count{100}};
+  for (Round t = 1; t <= 3; ++t) {
+    rec.record_round({.t = t, .loads = {&loads[t - 1], 1}, .demands = &d});
+  }
   const SimResult res = rec.finish(std::vector<Count>{Count{100}});
   EXPECT_NEAR(res.regret_plus, 150.0 - 128.8, 1e-9);
   EXPECT_NEAR(res.regret_minus, 61.2 - 40.0, 1e-9);
@@ -52,9 +54,12 @@ TEST(MetricsRecorder, ViolationBandIs5GammaDPlus3) {
   const DemandVector d({Count{100}});
   MetricsRecorder rec(1, 1000, {.gamma = 0.1});
   // Band: |delta| <= 5*0.1*100 + 3 = 53.
-  rec.record_round(1, std::vector<Count>{Count{47}}, d);   // delta 53: ok
-  rec.record_round(2, std::vector<Count>{Count{46}}, d);   // delta 54: violated
-  rec.record_round(3, std::vector<Count>{Count{154}}, d);  // delta -54: violated
+  // Loads 47 (delta 53: ok), 46 (delta 54: violated), 154 (delta -54:
+  // violated).
+  const std::vector<Count> loads{Count{47}, Count{46}, Count{154}};
+  for (Round t = 1; t <= 3; ++t) {
+    rec.record_round({.t = t, .loads = {&loads[t - 1], 1}, .demands = &d});
+  }
   const SimResult res = rec.finish(std::vector<Count>{Count{100}});
   EXPECT_EQ(res.violation_rounds, 2);
 }
@@ -62,8 +67,9 @@ TEST(MetricsRecorder, ViolationBandIs5GammaDPlus3) {
 TEST(MetricsRecorder, WarmupSplit) {
   const DemandVector d({Count{10}});
   MetricsRecorder rec(1, 100, {.gamma = 0.1, .warmup = 2});
+  const std::vector<Count> loads{Count{8}};  // regret 2 per round
   for (Round t = 1; t <= 4; ++t) {
-    rec.record_round(t, std::vector<Count>{Count{8}}, d);  // regret 2 per round
+    rec.record_round({.t = t, .loads = loads, .demands = &d});
   }
   const SimResult res = rec.finish(std::vector<Count>{Count{8}});
   EXPECT_DOUBLE_EQ(res.total_regret, 8.0);
@@ -75,7 +81,8 @@ TEST(MetricsRecorder, WarmupSplit) {
 TEST(MetricsRecorder, ClosenessDefinition) {
   const DemandVector d({Count{100}});
   MetricsRecorder rec(1, 1000, {.gamma = 0.1});
-  rec.record_round(1, std::vector<Count>{Count{95}}, d);  // regret 5
+  const std::vector<Count> loads{Count{95}};  // regret 5
+  rec.record_round({.t = 1, .loads = loads, .demands = &d});
   const SimResult res = rec.finish(std::vector<Count>{Count{95}});
   // closeness = avg regret / (gamma_star * total demand) = 5 / (0.05*100).
   EXPECT_DOUBLE_EQ(res.closeness(0.05, d.total()), 1.0);

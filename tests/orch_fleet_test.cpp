@@ -158,6 +158,10 @@ TEST(OrchFleet, KilledWorkerCellsAreReissuedAndMergeExact) {
   EXPECT_EQ(stats.cells_folded, offline.cells.size());
   // The dying worker's unfinished lease went back to the table.
   EXPECT_GE(stats.leases_released, 1u);
+  // The coordinator reports its reactor's I/O: both workers connected, and
+  // a worker that drops its connection is not an eviction.
+  EXPECT_GE(stats.connections_accepted, 2u);
+  EXPECT_EQ(stats.evictions, 0u);
   server.stop();
 }
 
