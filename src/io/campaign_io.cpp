@@ -5,11 +5,14 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "io/csv.h"
+#include "net/feed.h"
 #include "rng/splitmix.h"
 
 namespace antalloc {
@@ -199,7 +202,21 @@ std::string rows_csv(const CampaignResult& result,
                      const std::vector<MetricScalar>& specs) {
   std::string out = rows_header(specs) + "\n";
   for (const CampaignCell& cell : result.cells) {
-    out += encode_cell_row(cell, specs);
+    if (cell.metric_stats.size() != specs.size()) {
+      throw std::invalid_argument(
+          "write_campaign_shard: cell " + std::to_string(cell.flat_index) +
+          " carries " + std::to_string(cell.metric_stats.size()) +
+          " scalars, the layout has " + std::to_string(specs.size()));
+    }
+    out += fmt_i64(static_cast<std::int64_t>(cell.flat_index)) + ",";
+    out += csv_escape(cell.scenario) + ",";
+    out += csv_escape(cell.algo) + ",";
+    out += csv_escape(cell.noise) + ",";
+    out += std::string(to_string(cell.engine));
+    for (const RunningStats& stats : cell.metric_stats) {
+      out += ',';
+      out += append_stats(stats);
+    }
     out += "\n";
   }
   return out;
@@ -367,111 +384,84 @@ void attach_results(CampaignResult& shard, const std::string& content,
 
 }  // namespace
 
-// Per-cell row codec. --------------------------------------------------------
-
-std::string shard_rows_header(const std::vector<MetricScalar>& specs) {
-  return rows_header(specs);
-}
-
-std::string encode_cell_row(const CampaignCell& cell,
-                            const std::vector<MetricScalar>& specs) {
-  if (cell.metric_stats.size() != specs.size()) {
-    throw std::invalid_argument(
-        "encode_cell_row: cell " + std::to_string(cell.flat_index) +
-        " carries " + std::to_string(cell.metric_stats.size()) +
-        " scalars, the layout has " + std::to_string(specs.size()));
-  }
-  std::string out = fmt_i64(static_cast<std::int64_t>(cell.flat_index)) + ",";
-  out += csv_escape(cell.scenario) + ",";
-  out += csv_escape(cell.algo) + ",";
-  out += csv_escape(cell.noise) + ",";
-  out += std::string(to_string(cell.engine));
-  for (const RunningStats& stats : cell.metric_stats) {
-    out += ',';
-    out += append_stats(stats);
-  }
-  return out;
-}
-
-CampaignCell parse_cell_row(const std::string& line,
-                            const std::vector<MetricScalar>& specs,
-                            const std::string& context) {
-  return parse_row(line, specs, context);
-}
-
 // CellJournal. ---------------------------------------------------------------
-
-namespace {
-
-constexpr const char* kJournalFormatLine =
-    "format antalloc-campaign-journal-v1";
-
-}  // namespace
 
 CellJournal::CellJournal(std::string path, std::uint64_t config_hash,
                          std::vector<std::string> metrics,
                          std::size_t total_cells, std::int64_t replicates)
-    : path_(std::move(path)), specs_(metric_scalar_columns(metrics)) {
-  std::string header = std::string(kJournalFormatLine) + "\n";
-  header += "config_hash " + fmt_hex(config_hash) + "\n";
-  header += "total_cells " + std::to_string(total_cells) + "\n";
-  header += "replicates " + std::to_string(replicates) + "\n";
-  header += "metrics " + join_names(metrics) + "\n";
-  header += rows_header(specs_) + "\n";
+    : path_(std::move(path)),
+      config_hash_(config_hash),
+      n_scalars_(metric_scalar_columns(metrics).size()) {
+  Snapshot identity;
+  identity.config_hash = config_hash;
+  identity.cells_total = total_cells;
+  identity.replicates = replicates;
+  identity.metrics = std::move(metrics);
+  const auto hello = encode_hello();
+  const std::vector<std::uint8_t> frame =
+      encode_frame(Message{std::move(identity)}, 0);
+  std::string header(hello.begin(), hello.end());
+  header.append(frame.begin(), frame.end());
 
-  std::string good = header;  // content to carry forward (header + rows)
-  if (fs::exists(path_)) {
+  if (!fs::exists(path_)) {
+    write_file(path_, header);
+  } else {
     const std::string content = read_file(path_);
-    if (content.size() < header.size() ||
-        content.compare(0, header.size(), header) != 0) {
-      // Identity mismatch or a torn header: this journal does not describe
-      // THIS campaign (or is unreadable). A torn header means nothing was
-      // durably recorded anyway, but a different campaign's journal must be
-      // refused loudly, never silently overwritten.
+    if (content.compare(0, header.size(), header) != 0) {
+      // Identity mismatch, a torn header, or an older text journal: this file
+      // does not describe THIS campaign, and must be refused loudly, never
+      // silently overwritten.
       throw std::runtime_error(
           path_ + ": existing journal does not match this campaign "
           "(config hash, shape, or metric selection differ) — move it "
           "aside or pass a fresh path");
     }
-    std::istringstream in(content.substr(header.size()));
-    std::string line;
-    std::vector<std::string> lines;
-    while (std::getline(in, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      lines.push_back(std::move(line));
-    }
-    // A crash can tear only the final line (appends are row-at-a-time,
-    // flushed): a parse failure there drops the row — the cell is simply
-    // recomputed — while damage anywhere else is corruption and throws.
-    const bool torn_tail =
-        !content.empty() && content.back() != '\n' && !lines.empty();
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (lines[i].empty()) continue;
-      try {
-        recovered_.push_back(parse_cell_row(lines[i], specs_, path_));
-      } catch (const std::runtime_error&) {
-        if (i + 1 == lines.size() && torn_tail) break;
-        throw;
+    std::span<const std::uint8_t> rest(
+        reinterpret_cast<const std::uint8_t*>(content.data()) + header.size(),
+        content.size() - header.size());
+    std::size_t used = 0;
+    // Decode whole frames until only an incomplete one (a torn final append)
+    // or nothing is left; any damage before that throws and leaves the file
+    // as it is.
+    while (const std::optional<Frame> next = try_decode_frame(rest, &used)) {
+      const Message m = decode_message(*next);
+      const auto* res = std::get_if<CellResult>(&m);
+      if (next->header.seq != next_seq_ || res == nullptr ||
+          res->config_hash != config_hash_ ||
+          res->cell.flat_index >= total_cells ||
+          res->cell.stats.size() != n_scalars_) {
+        throw ProtocolTornPayloadError(
+            path_ + ": journal frame seq " +
+            std::to_string(next->header.seq) + " (expected " +
+            std::to_string(next_seq_) +
+            ") is not a CellResult of this campaign's shape");
       }
-      if (recovered_.back().flat_index >= total_cells) {
-        throw std::runtime_error(
-            path_ + ": journaled cell " +
-            std::to_string(recovered_.back().flat_index) +
-            " out of range (total " + std::to_string(total_cells) + ")");
-      }
-      good += lines[i];
-      good += "\n";
+      recovered_.push_back(cell_from_update(res->cell));
+      rest = rest.subspan(used);
+      ++next_seq_;
     }
+    // Cut the torn tail in place: a rewrite would truncate first, and a crash
+    // during it could empty the journal.
+    if (!rest.empty()) fs::resize_file(path_, content.size() - rest.size());
   }
-  // Rewrite header + every valid row, dropping any torn tail, then keep the
-  // file open for appends.
-  write_file(path_, good);
   out_.open(path_, std::ios::binary | std::ios::app);
   if (!out_) throw std::runtime_error("cannot open " + path_ + " for append");
 }
 
 void CellJournal::append(const CampaignCell& cell) {
-  out_ << encode_cell_row(cell, specs_) << "\n";
+  if (cell.metric_stats.size() != n_scalars_) {
+    throw std::invalid_argument(
+        "CellJournal::append: cell " + std::to_string(cell.flat_index) +
+        " carries " + std::to_string(cell.metric_stats.size()) +
+        " scalars, the journal's layout has " + std::to_string(n_scalars_));
+  }
+  const std::vector<std::uint8_t> frame = encode_frame(
+      Message{CellResult{.lease_id = 0,
+                         .config_hash = config_hash_,
+                         .cell = cell_update_from(cell)}},
+      next_seq_++);
+  out_.write(reinterpret_cast<const char*>(frame.data()),
+             static_cast<std::streamsize>(frame.size()));
   out_.flush();
   if (!out_.good()) throw std::runtime_error("cannot append to " + path_);
 }
@@ -686,6 +676,29 @@ MergedCampaign merge_campaign_dir(const std::string& dir) {
   }
 
   const ShardManifest& first = manifests.front();
+  // Sizes are checked before anything is allocated from them (the index
+  // table below, the merger's total_cells slots). With shard_count equal to
+  // the manifest count, in-range indices without duplicates cover every
+  // shard.
+  if (first.shard_count != manifests.size()) {
+    throw std::runtime_error(
+        manifest_paths.front() + ": shard_count " +
+        std::to_string(first.shard_count) + " but " + dir + " holds " +
+        std::to_string(manifests.size()) +
+        " manifests (missing or extra shards)");
+  }
+  const auto cells_mismatch = [&] {
+    return std::runtime_error(dir + ": the manifests' shard_cells do not sum "
+                              "to total_cells " +
+                              std::to_string(first.total_cells));
+  };
+  std::size_t cells = 0;  // kept <= total_cells, so the sum cannot wrap
+  for (const ShardManifest& m : manifests) {
+    if (m.shard_cells > first.total_cells - cells) throw cells_mismatch();
+    cells += m.shard_cells;
+  }
+  if (cells != first.total_cells) throw cells_mismatch();
+
   std::vector<std::uint8_t> seen(first.shard_count, 0);
   for (std::size_t i = 0; i < manifests.size(); ++i) {
     const ShardManifest& m = manifests[i];
@@ -715,14 +728,6 @@ MergedCampaign merge_campaign_dir(const std::string& dir) {
                                std::to_string(m.shard_index));
     }
     seen[m.shard_index] = 1;
-  }
-  for (std::size_t i = 0; i < first.shard_count; ++i) {
-    if (!seen[i]) {
-      throw std::runtime_error("merge_campaign_dir: shard " +
-                               std::to_string(i) + " of " +
-                               std::to_string(first.shard_count) +
-                               " missing from " + dir);
-    }
   }
 
   std::vector<CampaignResult> shards;

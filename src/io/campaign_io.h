@@ -95,54 +95,38 @@ struct MergedCampaign {
 
 // Scans `dir` for *.manifest files and merges the complete shard set.
 // Refuses (std::runtime_error): no manifests; manifests disagreeing on
-// config_hash, shard_count, total_cells, replicates or keep_results;
-// duplicate or missing shard indices; checksum mismatches. The merged
-// result is bit-identical to the unsharded run of the same config.
+// config_hash, shard_count, total_cells, replicates or keep_results; a
+// shard_count other than the number of manifests, or shard_cells that do
+// not sum to total_cells (both checked before anything is sized by them);
+// duplicate shard indices; checksum mismatches. The merged result is
+// bit-identical to the unsharded run of the same config.
 MergedCampaign merge_campaign_dir(const std::string& dir);
-
-// Per-cell row codec. --------------------------------------------------------
-//
-// The v2 shard-row encoding exposed one cell at a time, for consumers that
-// persist or merge cells as they land (the fleet coordinator's incremental
-// merge and resumable journal, src/orch/) instead of whole shard files. A
-// row written by encode_cell_row parses back bit-identical through
-// parse_cell_row — the same %.17g / Welford-state guarantee as the shard
-// files, because it IS the shard files' row format.
-
-// The rows header for a scalar layout: "cell,scenario,algo,noise,engine"
-// plus "<scalar>_{count,mean,m2,min,max}" per selected scalar.
-std::string shard_rows_header(const std::vector<MetricScalar>& specs);
-
-// One folded cell as a v2 shard row (no trailing newline). Throws
-// std::invalid_argument when the cell's scalar count does not match `specs`.
-std::string encode_cell_row(const CampaignCell& cell,
-                            const std::vector<MetricScalar>& specs);
-
-// Parses one row back. Throws std::runtime_error (messages prefixed with
-// `context`) on any malformed field.
-CampaignCell parse_cell_row(const std::string& line,
-                            const std::vector<MetricScalar>& specs,
-                            const std::string& context);
 
 // CellJournal: the coordinator's resumable manifest. ------------------------
 //
-// An append-only file of folded cells: a self-describing header (format
-// line, campaign_config_hash, total cells, replicates, metric selection,
-// rows header) followed by one encoded cell row per completed cell, flushed
-// as each is appended. A coordinator that crashes and restarts opens the
-// same path, recovers every durably appended cell, and re-leases ONLY the
-// missing ones — together with first-completion-wins folding this makes a
-// restart indistinguishable (bit-for-bit) from an uninterrupted run.
+// An append-only file of the wire protocol's own frames (net/protocol.h):
+// the 8-byte hello, a seq-0 Snapshot frame naming the campaign (config hash,
+// total cells, replicates, metric selection; no cells), then one CellResult
+// frame per folded cell, seq 1, 2, ... — the frame a worker sends, with
+// lease_id 0. Each append is flushed to the OS before append() returns, so
+// the journal survives a process crash (not a power loss: there is no
+// fsync). A coordinator that crashes and restarts opens the same path,
+// recovers every appended cell, and re-leases ONLY the missing ones —
+// together with first-completion-wins folding this makes a restart
+// indistinguishable (bit-for-bit) from an uninterrupted run.
 //
-// Crash tolerance: because appends are row-at-a-time, the only damage a
-// crash can leave is a torn FINAL line; recovery drops it (that cell is
-// simply recomputed) but refuses mid-file damage or a header that names a
-// different campaign (config hash, shape, or metrics mismatch throws — a
-// stale journal must never seed another campaign's numbers).
+// Crash tolerance: a crash can leave only an incomplete final frame; recovery
+// drops it (that cell is simply recomputed) and cuts the file back to the
+// last whole frame. Everything else is refused and the file left untouched:
+// a header naming a different campaign throws std::runtime_error (a stale
+// journal must never seed another campaign's numbers), and damage after it
+// throws the frame decoder's named ProtocolError subtype — a checksum
+// mismatch, or ProtocolTornPayloadError for a sequence gap, a frame that is
+// not a CellResult, or a cell that contradicts the campaign's shape.
 class CellJournal {
  public:
   // Opens (or resumes) the journal at `path`. On resume the header must
-  // match all four identity fields; recovered cells are parsed eagerly.
+  // match all four identity fields; recovered cells are decoded eagerly.
   CellJournal(std::string path, std::uint64_t config_hash,
               std::vector<std::string> metrics, std::size_t total_cells,
               std::int64_t replicates);
@@ -151,14 +135,16 @@ class CellJournal {
   // fresh journal). Feed them to an IncrementalMerger before leasing.
   std::vector<CampaignCell>& recovered() { return recovered_; }
 
-  // Appends one folded cell and flushes it to disk before returning.
+  // Appends one folded cell as a CellResult frame and flushes it to the OS
+  // before returning. Throws std::invalid_argument when the cell's scalar
+  // count does not match the metric selection.
   void append(const CampaignCell& cell);
-
-  const std::string& path() const { return path_; }
 
  private:
   std::string path_;
-  std::vector<MetricScalar> specs_;
+  std::uint64_t config_hash_;
+  std::size_t n_scalars_;
+  std::uint32_t next_seq_ = 1;
   std::vector<CampaignCell> recovered_;
   std::ofstream out_;
 };

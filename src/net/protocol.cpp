@@ -132,11 +132,22 @@ std::string ByteReader::str() {
 }
 
 std::vector<std::string> ByteReader::strings() {
-  const std::uint32_t n = u32();
+  const std::uint32_t n = count(4);  // each string is at least its u32 length
   std::vector<std::string> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) out.push_back(str());
   return out;
+}
+
+std::uint32_t ByteReader::count(std::size_t min_item_bytes) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / min_item_bytes) {
+    throw ProtocolTornPayloadError(
+        "torn payload: count " + std::to_string(n) + " of items >= " +
+        std::to_string(min_item_bytes) + " bytes, but only " +
+        std::to_string(remaining()) + " bytes remain");
+  }
+  return n;
 }
 
 // Handshake. -----------------------------------------------------------------
@@ -171,6 +182,13 @@ void check_hello(std::span<const std::uint8_t> bytes) {
 // Message codecs. ------------------------------------------------------------
 
 namespace {
+
+// Smallest encodings of the repeated items, for ByteReader::count: a Welford
+// state (count + 4 doubles), a cell (index, three empty strings, engine,
+// zero states) and a JobAlgo (empty name, gamma, epsilon).
+constexpr std::size_t kStateBytes = 8 + 4 * 8;
+constexpr std::size_t kMinCellBytes = 8 + 3 * 4 + 1 + 4;
+constexpr std::size_t kMinAlgoBytes = 4 + 2 * 8;
 
 void encode_state(ByteWriter& w, const RunningStats::State& s) {
   w.i64(s.count);
@@ -207,7 +225,7 @@ CellUpdate decode_cell(ByteReader& r) {
   c.algo = r.str();
   c.noise = r.str();
   c.engine = decode_enum<Engine>(r.u8(), 2, "Engine");
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(kStateBytes);
   c.stats.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) c.stats.push_back(decode_state(r));
   return c;
@@ -241,7 +259,7 @@ void encode_job(ByteWriter& w, const JobSpec& j) {
 JobSpec decode_job(ByteReader& r) {
   JobSpec j;
   j.scenarios = r.strings();
-  const std::uint32_t n_algos = r.u32();
+  const std::uint32_t n_algos = r.count(kMinAlgoBytes);
   j.algos.reserve(n_algos);
   for (std::uint32_t i = 0; i < n_algos; ++i) {
     JobAlgo a;
@@ -254,7 +272,7 @@ JobSpec decode_job(ByteReader& r) {
   j.noise.lambda = r.f64();
   j.noise.gamma_ad = r.f64();
   j.noise.adversary = r.str();
-  const std::uint32_t n_demands = r.u32();
+  const std::uint32_t n_demands = r.count(8);  // one i64 each
   j.demands.reserve(n_demands);
   for (std::uint32_t i = 0; i < n_demands; ++i) j.demands.push_back(r.i64());
   j.n_ants = r.i64();
@@ -363,7 +381,7 @@ Message decode_payload(MsgType type, ByteReader& r) {
       m.cells_total = r.u64();
       m.replicates = r.i64();
       m.metrics = r.strings();
-      const std::uint32_t n = r.u32();
+      const std::uint32_t n = r.count(kMinCellBytes);
       m.cells.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) m.cells.push_back(decode_cell(r));
       m.replicates_done = r.i64();

@@ -206,6 +206,10 @@ class ByteReader {
   double f64();
   std::string str();
   std::vector<std::string> strings();
+  // A u32 element count. Throws ProtocolTornPayloadError when that many
+  // items of at least min_item_bytes each cannot fit in what remains, so a
+  // hostile count never reaches a reserve().
+  std::uint32_t count(std::size_t min_item_bytes);
 
   std::size_t consumed() const { return pos_; }
   std::size_t remaining() const { return bytes_.size() - pos_; }

@@ -36,16 +36,7 @@ CoordinatorServer::CoordinatorServer(CoordinatorOptions opts)
       merger_.add(cell);
       table_.mark_done(cell.flat_index);
       ++stats_.cells_recovered;
-
-      CampaignProgress::Update u;
-      u.flat_index = cell.flat_index;
-      u.cells_done = table_.cells_done();
-      u.cells_total = total_cells_;
-      u.cells_in_flight = 0;
-      u.replicates_done =
-          static_cast<std::int64_t>(table_.cells_done()) * config_.replicates;
-      u.cell = &cell;
-      feed_.on_cell_done(u);
+      publish_progress(cell);
     }
     // A journal can already hold the whole matrix (restart after the final
     // append but before the exit) — then there is nothing to lease.
@@ -227,22 +218,24 @@ void CoordinatorServer::fold_cell(CampaignCell cell) {
   for (const std::uint64_t lease_id : table_.complete(idx, t)) {
     lease_conn_.erase(lease_id);
   }
-  if (fresh) {
-    CampaignProgress::Update u;
-    u.flat_index = idx;
-    u.cells_done = table_.cells_done();
-    u.cells_total = total_cells_;
-    u.cells_in_flight =
-        total_cells_ - table_.cells_done() - table_.cells_pending();
-    u.replicates_done =
-        static_cast<std::int64_t>(table_.cells_done()) * config_.replicates;
-    u.cell = &cell;
-    feed_.on_cell_done(u);
-  }
+  if (fresh) publish_progress(cell);
   if (table_.all_done()) {
     finalize();
     broadcast_done();
   }
+}
+
+void CoordinatorServer::publish_progress(const CampaignCell& cell) {
+  CampaignProgress::Update u;
+  u.flat_index = cell.flat_index;
+  u.cells_done = table_.cells_done();
+  u.cells_total = total_cells_;
+  u.cells_in_flight =
+      total_cells_ - table_.cells_done() - table_.cells_pending();
+  u.replicates_done =
+      static_cast<std::int64_t>(table_.cells_done()) * config_.replicates;
+  u.cell = &cell;
+  feed_.on_cell_done(u);
 }
 
 void CoordinatorServer::broadcast_done() {

@@ -29,11 +29,12 @@
 //                      the cells are reissued. Late results still fold as
 //                      verified duplicates.
 //   coordinator crash — when CoordinatorOptions::journal_path is set,
-//                      every folded cell is appended (and flushed) to a
-//                      CellJournal before it is acknowledged to progress
-//                      subscribers. A restarted coordinator on the same
-//                      journal re-leases ONLY the missing cells; the rerun
-//                      merges bit-identical to an uninterrupted one.
+//                      every folded cell is appended to a CellJournal, as
+//                      the same checksummed CellResult frame a worker sends,
+//                      and flushed to the OS before it is acknowledged to
+//                      progress subscribers. A restarted coordinator on the
+//                      same journal re-leases ONLY the missing cells; the
+//                      rerun merges bit-identical to an uninterrupted one.
 //
 // ## Architecture
 //
@@ -142,6 +143,8 @@ class CoordinatorServer final : private Reactor::Handler {
   // lease-table side runs even for verified duplicates — completion is
   // completion no matter which worker raced it in.
   void fold_cell(CampaignCell cell);
+  // Publishes one newly folded (or journal-recovered) cell to the feed.
+  void publish_progress(const CampaignCell& cell);
   // Grants to as many queued requesters as the table allows; when the
   // campaign is done, answers every queued requester with a done-grant.
   void serve_pending(std::int64_t now_ms);

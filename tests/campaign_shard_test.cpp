@@ -271,6 +271,63 @@ TEST(CampaignShardIo, RejectsMissingShardAndCorruptedRows) {
   fs::remove_all(dir);
 }
 
+// Rewrites the value of one "key value" line in every manifest of `dir`, so
+// the shard set stays self-consistent on every other field.
+void set_manifest_key(const std::string& dir, const std::string& key,
+                      const std::string& value) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".manifest") continue;
+    std::ifstream in(entry.path());
+    std::string line;
+    std::string out;
+    while (std::getline(in, line)) {
+      if (line.rfind(key + " ", 0) == 0) line = key + " " + value;
+      out += line + "\n";
+    }
+    in.close();
+    std::ofstream(entry.path(), std::ios::trunc) << out;
+  }
+}
+
+// Asserts merge_campaign_dir refuses `dir` with a std::runtime_error whose
+// message names `field` (not a std::bad_alloc from sizing by a hostile
+// value).
+void expect_merge_refused_naming(const std::string& dir,
+                                 const std::string& field) {
+  try {
+    merge_campaign_dir(dir);
+    ADD_FAILURE() << "merge accepted a manifest with a hostile " << field;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+void write_two_shards(const std::string& dir) {
+  auto cfg = shard_matrix();
+  for (std::size_t i = 0; i < 2; ++i) {
+    cfg.shard = {i, 2};
+    write_campaign_shard(dir, cfg, run_campaign(cfg));
+  }
+  ASSERT_NO_THROW(merge_campaign_dir(dir));
+}
+
+TEST(CampaignShardIo, HostileShardCountRefusedBeforeAllocating) {
+  const std::string dir = make_temp_dir("hostile_count");
+  write_two_shards(dir);
+  set_manifest_key(dir, "shard_count", "4611686018427387904");
+  expect_merge_refused_naming(dir, "shard_count");
+  fs::remove_all(dir);
+}
+
+TEST(CampaignShardIo, HostileTotalCellsRefusedBeforeAllocating) {
+  const std::string dir = make_temp_dir("hostile_total");
+  write_two_shards(dir);
+  set_manifest_key(dir, "total_cells", "4611686018427387904");
+  expect_merge_refused_naming(dir, "total_cells");
+  fs::remove_all(dir);
+}
+
 TEST(CampaignShardIo, WriteRefusesForeignResult) {
   const std::string dir = make_temp_dir("foreign");
   auto cfg = shard_matrix();

@@ -471,6 +471,89 @@ TEST(ProtocolCorruption, TornPayloadCellResultShortStats) {
   EXPECT_THROW(decode_message(decode_frame(bytes)), ProtocolTornPayloadError);
 }
 
+// Hostile counts: a checksum-valid frame whose u32 item count promises
+// 0xFFFFFFFF items. Each count site must refuse it as torn before sizing a
+// vector from it (a reserve of that many items would throw std::bad_alloc,
+// which no ProtocolError handler catches).
+
+constexpr std::uint32_t kHostileCount = 0xFFFFFFFFu;
+
+void expect_hostile_count_refused(MsgType type, const ByteWriter& w) {
+  const auto bytes = wrap_frame(type, 0, w.bytes());
+  EXPECT_THROW(decode_message(decode_frame(bytes)), ProtocolTornPayloadError);
+}
+
+void write_snapshot_head(ByteWriter& w) {
+  w.u64(1);   // job_id
+  w.u8(0);    // state
+  w.u64(2);   // config_hash
+  w.u64(10);  // cells_total
+  w.i64(3);   // replicates
+}
+
+TEST(ProtocolCorruption, HostileCountSnapshotMetricNames) {
+  ByteWriter w;
+  write_snapshot_head(w);
+  w.u32(kHostileCount);  // metric names
+  expect_hostile_count_refused(MsgType::kSnapshot, w);
+}
+
+TEST(ProtocolCorruption, HostileCountSnapshotCells) {
+  ByteWriter w;
+  write_snapshot_head(w);
+  w.strings({"regret"});
+  w.u32(kHostileCount);  // cells
+  expect_hostile_count_refused(MsgType::kSnapshot, w);
+}
+
+TEST(ProtocolCorruption, HostileCountCellResultStats) {
+  ByteWriter w;
+  w.u64(3);           // lease_id
+  w.u64(4);           // config_hash
+  w.u64(7);           // cell.flat_index
+  w.str("constant");  // scenario
+  w.str("ant");       // algo
+  w.str("exact");     // noise
+  w.u8(0);            // engine
+  w.u32(kHostileCount);
+  expect_hostile_count_refused(MsgType::kCellResult, w);
+}
+
+TEST(ProtocolCorruption, HostileCountJobAlgos) {
+  ByteWriter w;
+  w.strings({"constant"});
+  w.u32(kHostileCount);  // algos
+  expect_hostile_count_refused(MsgType::kSubmitJob, w);
+}
+
+TEST(ProtocolCorruption, HostileCountJobDemands) {
+  ByteWriter w;
+  w.strings({"constant"});
+  w.u32(0);       // no algos
+  w.u8(0);        // noise kind
+  w.f64(0.2);     // lambda
+  w.f64(0.02);    // gamma_ad
+  w.str("honest");
+  w.u32(kHostileCount);  // demands
+  expect_hostile_count_refused(MsgType::kSubmitJob, w);
+}
+
+TEST(ProtocolCorruption, CountBoundIsExact) {
+  // n items of min_item_bytes must fit in what follows the count: 2 × 4
+  // bytes in 8 remaining passes, 3 × 4 does not.
+  for (const std::uint32_t n : {2u, 3u}) {
+    ByteWriter w;
+    w.u32(n);
+    w.u64(0);
+    ByteReader r(w.bytes());
+    if (n == 2) {
+      EXPECT_EQ(r.count(4), 2u);
+    } else {
+      EXPECT_THROW(r.count(4), ProtocolTornPayloadError);
+    }
+  }
+}
+
 TEST(ProtocolCorruption, TornPayloadLeaseRevokedTrailingBytes) {
   ByteWriter w;
   w.u64(5);
