@@ -97,16 +97,15 @@ void BM_LackMaskLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_LackMaskLoop)->Arg(1 << 14);
 
-// The same masks drawn in blocks of 64 ants, as the agent algorithms draw
-// them (FeedbackAccess::for_each_lack_mask): the SIMD lane on CPUs with AVX2
-// or AVX-512, else the per-ant loop above.
-void BM_LackMaskBlock(benchmark::State& state) {
+// The block draw of an all-idle colony of state.range(0) ants, k = 4, every
+// task at `deficit` against `demand` under sigmoid noise.
+void run_lack_mask_block(benchmark::State& state, double lambda,
+                         double deficit, Count demand) {
   const auto n = static_cast<Count>(state.range(0));
   const std::int32_t k = 4;
-  SigmoidFeedback fm(0.05);
-  const std::vector<double> deficits(static_cast<std::size_t>(k), 5.0);
-  const std::vector<Count> demand_counts(static_cast<std::size_t>(k),
-                                         Count{64});
+  SigmoidFeedback fm(lambda);
+  const std::vector<double> deficits(static_cast<std::size_t>(k), deficit);
+  const std::vector<Count> demand_counts(static_cast<std::size_t>(k), demand);
   Round t = 1;
   for (auto _ : state) {
     const FeedbackAccess fb(fm, t, deficits, demand_counts, 3);
@@ -120,7 +119,22 @@ void BM_LackMaskBlock(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetLabel(rng::kLackLane != nullptr ? "simd" : "per-ant fallback");
 }
+
+// The same masks drawn in blocks of 64 ants, as the agent algorithms draw
+// them (FeedbackAccess::for_each_lack_mask): the SIMD lane on CPUs with AVX2
+// or AVX-512, else the per-ant loop above.
+void BM_LackMaskBlock(benchmark::State& state) {
+  run_lack_mask_block(state, 0.05, 5.0, Count{64});
+}
 BENCHMARK(BM_LackMaskBlock)->Arg(1 << 14);
+
+// A colony far below demand: at lambda 0.2 a deficit of 1000 gives p == 1
+// exactly, so every cell is certain and the block draw hashes none of them
+// (the first rounds of an all-idle start).
+void BM_LackMaskSaturated(benchmark::State& state) {
+  run_lack_mask_block(state, 0.2, 1000.0, Count{1000});
+}
+BENCHMARK(BM_LackMaskSaturated)->Arg(1 << 14);
 
 // A mostly-working colony: one ant in 20 is idle and reads every task, the
 // rest read only their own — the wants precise-adversarial, ant, trivial and

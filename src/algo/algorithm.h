@@ -55,12 +55,17 @@ namespace antalloc {
 // The constructor hoists what does not depend on the ant: the round key
 // hash_combine(seed, t), each task's hash_key_term(j) and, for models that
 // sample the marginal (FeedbackModel::samples_marginal), each task's lack
-// probability as an integer threshold (rng::lack_threshold). A cell then
-// costs one mix for its seed plus, on the marginal path, one SplitMix64 step
-// for the generator's first output and one integer compare — the same bits
+// probability as an integer threshold (rng::lack_threshold), the same bits
 // the full derivation produces (docs/ARCHITECTURE.md, "Per-ant stream").
 // sample_lack_masks draws a block of ants at once through the SIMD lane of
-// rng/lack_lane.h when the CPU has one.
+// rng/lack_lane.h when the CPU has one, and hashes only uncertain cells: a
+// task whose threshold is 2^53 (p >= 1) lacks for every ant and one whose
+// threshold is 0 (p <= 0 or NaN) for none. That cannot change a bit, since
+// x >> 11 < 2^53 holds, and x >> 11 < 0 fails, for every 64-bit output x.
+// The constructor records those tasks as sure_lack_ and sure_over_; the
+// block draw ORs in the first and skips both. sample and sample_lack_mask
+// keep the full per-cell chain: they are the reference the block draw is
+// tested against.
 class FeedbackAccess {
  public:
   FeedbackAccess(FeedbackModel& fm, Round t, std::span<const double> deficits,
@@ -83,8 +88,12 @@ class FeedbackAccess {
       if (samples_marginal_) {
         lack_below_[ju] = rng::lack_threshold(fm.lack_probability(
             t, j, deficits[ju], static_cast<double>(demands[ju])));
+        sure_lack_ |= std::uint64_t{lack_below_[ju] == rng::kAlwaysLack} << j;
+        sure_over_ |= std::uint64_t{lack_below_[ju] == 0} << j;
       }
     }
+    sure_lack_ &= live_mask_;
+    sure_over_ &= live_mask_;
   }
 
   std::int32_t num_tasks() const {
@@ -122,35 +131,49 @@ class FeedbackAccess {
 
   // out[a] == sample_lack_mask(first_ant + a) & want[a], bit for bit: the
   // lack masks of a block of ants, restricted to the tasks the caller reads
-  // (e.g. 1 << ct for a working ant). Marginal models run `lane`, by default
-  // the widest SIMD lane this CPU has; without one (nullptr), and for every
-  // other model, this is the per-ant loop. Either way an ant that wants one
-  // task costs one cell. Tests pass each lane by name. want.size() must
-  // equal out.size().
+  // (e.g. 1 << ct for a working ant). Only the wanted uncertain cells are
+  // hashed; wanted sure_lack_ tasks are ORed in and sure_over_ ones stay 0.
+  // Marginal models run `lane`, by default the widest SIMD lane this CPU
+  // has; without one (nullptr), and for every other model, this is the
+  // per-ant loop. Tests pass each lane by name. Throws
+  // std::invalid_argument unless want.size() == out.size().
   void sample_lack_masks(std::int64_t first_ant,
                          std::span<const std::uint64_t> want,
                          std::span<std::uint64_t> out,
                          rng::LackLane lane = rng::kLackLane) const {
+    if (want.size() != out.size()) {
+      throw std::invalid_argument(
+          "FeedbackAccess::sample_lack_masks: want and out differ in size");
+    }
+    const std::uint64_t uncertain = live_mask_ & ~(sure_lack_ | sure_over_);
     if (samples_marginal_ && lane != nullptr) {
       const auto k = static_cast<std::size_t>(num_tasks());
       const rng::LackStream stream{
           .round_key = round_key_,
           .task_keys = std::span(task_key_).first(k),
           .thresholds = std::span(lack_below_).first(k),
-          .tasks = live_mask_};
+          .tasks = uncertain};
       lane(stream, static_cast<std::uint64_t>(first_ant), want, out);
-      return;
-    }
-    for (std::size_t a = 0; a < out.size(); ++a) {
-      const std::int64_t ant = first_ant + static_cast<std::int64_t>(a);
-      const std::uint64_t key = ant_key(ant);
-      std::uint64_t mask = 0;
-      for (std::uint64_t bits = want[a] & live_mask_; bits != 0;
-           bits &= bits - 1) {
-        const auto j = static_cast<TaskId>(std::countr_zero(bits));
-        mask |= static_cast<std::uint64_t>(lack_unmasked(ant, key, j)) << j;
+    } else {
+      for (std::size_t a = 0; a < out.size(); ++a) {
+        std::uint64_t bits = want[a] & uncertain;
+        std::uint64_t mask = 0;
+        if (bits != 0) {
+          const std::int64_t ant = first_ant + static_cast<std::int64_t>(a);
+          const std::uint64_t key = ant_key(ant);
+          for (; bits != 0; bits &= bits - 1) {
+            const auto j = static_cast<TaskId>(std::countr_zero(bits));
+            mask |= static_cast<std::uint64_t>(lack_unmasked(ant, key, j))
+                    << j;
+          }
+        }
+        out[a] = mask;
       }
-      out[a] = mask;
+    }
+    if (sure_lack_ != 0) {
+      for (std::size_t a = 0; a < out.size(); ++a) {
+        out[a] |= want[a] & sure_lack_;
+      }
     }
   }
 
@@ -211,6 +234,9 @@ class FeedbackAccess {
   std::array<std::uint64_t, kMaxAgentTasks> task_key_{};  // hash_key_term(j)
   // lack_threshold(p_j), marginal models only.
   std::array<std::uint64_t, kMaxAgentTasks> lack_below_{};
+  // Live tasks whose threshold is kAlwaysLack / 0: certain for every ant.
+  std::uint64_t sure_lack_ = 0;
+  std::uint64_t sure_over_ = 0;
 };
 
 // The tasks whose feedback an ant on `ct` reads in the paper's automata:

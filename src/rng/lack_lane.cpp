@@ -47,21 +47,32 @@ constexpr std::size_t kBlock = 64;
 // ant beforehand. The others (idle ants) draw every task any of them wants:
 // in place when the whole block is such ants, else packed together first.
 // So a block costs about as many cells as the per-ant loop draws, however
-// large k is. Inlined into each target wrapper below, so the compiler
-// vectorizes it once per ISA.
+// large k is, and a block that draws no cell costs no hash at all. Inlined
+// into each target wrapper below, so the compiler vectorizes it once per
+// ISA.
 [[gnu::always_inline]] inline void lack_block_body(
     const LackStream& stream, std::uint64_t first_ant,
     std::span<const std::uint64_t> want, std::span<std::uint64_t> out) {
   for (std::size_t base = 0; base < out.size(); base += kBlock) {
     const std::size_t len = std::min(kBlock, out.size() - base);
+    const auto out_block = out.begin() + static_cast<std::ptrdiff_t>(base);
+
+    // The tasks each ant draws. A block that draws none needs no keys.
+    std::uint64_t w[kBlock] = {};
+    std::uint64_t any = 0;
+    for (std::size_t a = 0; a < len; ++a) {
+      w[a] = want[base + a] & stream.tasks;
+      any |= w[a];
+    }
+    if (any == 0) {
+      std::fill_n(out_block, len, std::uint64_t{0});
+      continue;
+    }
     std::uint64_t keys[kBlock] = {};
     for (std::size_t a = 0; a < kBlock; ++a) {
       keys[a] = hash_combine(stream.round_key, first_ant + base + a);
     }
-
-    // The tasks each ant draws, and the union over ants wanting several.
-    std::uint64_t w[kBlock] = {};
-    for (std::size_t a = 0; a < len; ++a) w[a] = want[base + a] & stream.tasks;
+    // The ants wanting several tasks, and the union of what they want.
     std::size_t n_many = 0;
     std::uint64_t many_tasks = 0;
     for (std::size_t a = 0; a < kBlock; ++a) {
@@ -103,7 +114,7 @@ constexpr std::size_t kBlock = 64;
         }
       }
     }
-    std::copy_n(masks, len, out.begin() + static_cast<std::ptrdiff_t>(base));
+    std::copy_n(masks, len, out_block);
   }
 }
 

@@ -22,14 +22,19 @@ struct LackStream {
   std::uint64_t round_key = 0;                 // hash_combine(seed, t)
   std::span<const std::uint64_t> task_keys;    // hash_key_term(j), size k
   std::span<const std::uint64_t> thresholds;   // lack_threshold(p_j), size k
-  // The tasks that may report lack (active, below k); no other bit is drawn.
+  // The tasks to draw; no other bit is set. FeedbackAccess passes the live
+  // tasks whose threshold is neither 0 nor 2^53 (rng::kAlwaysLack): at those
+  // two the compare does not depend on the cell, since x >> 11 < 2^53 always
+  // holds, so it sets the certain bits itself and no lane hashes them.
   std::uint64_t tasks = 0;
 };
 
 // Writes the lack masks of ants first_ant, first_ant + 1, ... into out
-// (bit j = task j lacks), restricted to want[a] & stream.tasks: a lane draws
-// one cell for an ant that wants a single task, and for the others every
-// task some ant of its 64-ant block wants. want.size() == out.size().
+// (bit j = task j lacks), restricted to want[a] & stream.tasks. A lane
+// hashes only the cells of stream.tasks: one cell for an ant that wants a
+// single such task, every such task some ant of its 64-ant block wants for
+// the others, and nothing, not even the 64 ant keys, for a block in which no
+// ant wants one. want.size() == out.size().
 using LackLane = void (*)(const LackStream& stream, std::uint64_t first_ant,
                           std::span<const std::uint64_t> want,
                           std::span<std::uint64_t> out);

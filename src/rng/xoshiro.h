@@ -83,10 +83,12 @@ class Xoshiro256 {
 // m < ceil(p * 2^53). That threshold is 0 for p <= 0 or NaN and 2^53 for
 // p >= 1 (every m passes). Samplers that test `(x >> 11) < lack_threshold(p)`
 // need no floating point per draw, so compiler contraction or vector width
-// cannot change a bit.
+// cannot change a bit. At the two ends the test does not read x at all:
+// m < 2^53 always holds and m < 0 never does.
+inline constexpr std::uint64_t kAlwaysLack = std::uint64_t{1} << 53;
 inline std::uint64_t lack_threshold(double p) noexcept {
   if (!(p > 0.0)) return 0;
-  if (p >= 1.0) return std::uint64_t{1} << 53;
+  if (p >= 1.0) return kAlwaysLack;
   return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
 }
 

@@ -3,15 +3,17 @@
 // accessor, bit-equality of the round-hoisted stream with the full
 // (seed, t, ant, j) derivation for every built-in model, and bit-equality of
 // the block draw with the per-ant one through every SIMD lane and the
-// fallback loop.
+// fallback loop, which hash only the cells whose outcome is uncertain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -324,7 +326,9 @@ class FixedProbabilities final : public FeedbackModel {
 };
 
 // Probabilities at the edges of the integer threshold, against the float
-// compare the threshold replaces: Xoshiro256(cell seed).uniform() < p.
+// compare the threshold replaces: Xoshiro256(cell seed).uniform() < p. Tasks
+// 0 and 3-6 are certain (threshold 0 or 2^53), so the block draw sets their
+// bits without hashing; 1 and 2 sit one step inside the edges.
 TEST_P(LackLaneTest, BlockDrawMatchesUniformCompareAtEdgeProbabilities) {
   const std::vector<double> ps = {0.0,
                                   0x1p-53,
@@ -335,26 +339,99 @@ TEST_P(LackLaneTest, BlockDrawMatchesUniformCompareAtEdgeProbabilities) {
                                   std::numeric_limits<double>::quiet_NaN(),
                                   0.5,
                                   0.3};
+  const std::vector<std::size_t> certain = {0, 3, 4, 5, 6};
   FixedProbabilities fm(ps);
   const std::vector<double> deficits(ps.size(), 0.0);
   const std::vector<Count> demands(ps.size(), Count{1});
   const std::uint64_t seed = 123;
   const Round t = 45;
   const FeedbackAccess fb(fm, t, deficits, demands, seed);
-  std::vector<std::uint64_t> out(1000);
-  const std::int64_t first = (std::int64_t{1} << 40) - 500;
-  fb.sample_lack_masks(first, std::vector<std::uint64_t>(out.size(), ~0ull),
-                       out, GetParam().lane);
-  for (std::size_t a = 0; a < out.size(); ++a) {
-    const auto ant = static_cast<std::uint64_t>(first) + a;
+  const auto uniform_compare = [&](std::uint64_t ant) {
     std::uint64_t expected = 0;
     for (std::size_t j = 0; j < ps.size(); ++j) {
       rng::Xoshiro256 gen(
           rng::hash_words(seed, static_cast<std::uint64_t>(t), ant, j));
       if (gen.uniform() < ps[j]) expected |= 1ull << j;
     }
-    ASSERT_EQ(out[a], expected) << "ant " << ant;
+    return expected;
+  };
+  // (first ant, block length): one long run across many blocks, then short
+  // and odd-length blocks.
+  const std::int64_t far = std::int64_t{1} << 40;
+  const std::vector<std::pair<std::int64_t, std::size_t>> blocks = {
+      {far - 500, 1000}, {3, 1}, {100, 7}, {far - 63, 63}, {far + 5, 65}};
+  const std::uint64_t all = (1ull << ps.size()) - 1;
+  rng::Xoshiro256 want_gen(47);
+  std::vector<std::uint64_t> want;
+  for (const auto& [first, len] : blocks) {
+    // Wants: everything; a mixed block (everything, nothing, one task, bits
+    // past k, random); one task each; idle ants wanting several tasks; and
+    // only certain tasks, one or all of them, so no cell is hashed.
+    for (const int shape : {0, 1, 2, 3, 4}) {
+      SCOPED_TRACE("first=" + std::to_string(first) +
+                   " len=" + std::to_string(len) +
+                   " shape=" + std::to_string(shape));
+      want.resize(len);
+      for (std::size_t a = 0; a < len; ++a) {
+        const std::uint64_t one_task = 1ull << (a % ps.size());
+        const std::uint64_t mixed[] = {~0ull, 0, one_task, ~all, want_gen()};
+        std::uint64_t only_certain = 0;
+        for (const std::size_t j : certain) only_certain |= 1ull << j;
+        if (a % 2 == 0) only_certain = 1ull << certain[a % certain.size()];
+        want[a] = shape == 0   ? ~0ull
+                  : shape == 1 ? mixed[a % 5]
+                  : shape == 2 ? one_task
+                  : shape == 3 ? want_gen() | 0b11
+                               : only_certain;
+      }
+      std::vector<std::uint64_t> out(len, 0xDEAD);
+      fb.sample_lack_masks(first, want, out, GetParam().lane);
+      for (std::size_t a = 0; a < len; ++a) {
+        const auto ant = static_cast<std::uint64_t>(first) + a;
+        ASSERT_EQ(out[a], uniform_compare(ant) & want[a])
+            << "ant " << ant << " want " << want[a];
+      }
+    }
   }
+}
+
+TEST_P(LackLaneTest, RejectsWantAndOutOfDifferentSizes) {
+  SigmoidFeedback fm(0.3);
+  const std::vector<double> deficits{1.0, -1.0};
+  const std::vector<Count> demands(2, Count{10});
+  const FeedbackAccess fb(fm, 1, deficits, demands, 5);
+  std::vector<std::uint64_t> out(65);
+  for (const std::size_t len : {0, 1, 64, 66}) {
+    EXPECT_THROW(fb.sample_lack_masks(0, std::vector<std::uint64_t>(len, ~0ull),
+                                      out, GetParam().lane),
+                 std::invalid_argument)
+        << "want of " << len;
+  }
+}
+
+// The tasks handed to recording_lane since the last reset.
+std::uint64_t lane_tasks_seen = 0;
+
+// A lane that records which tasks it was asked to draw and draws none.
+void recording_lane(const rng::LackStream& stream, std::uint64_t,
+                    std::span<const std::uint64_t>,
+                    std::span<std::uint64_t> out) {
+  lane_tasks_seen |= stream.tasks;
+  std::fill(out.begin(), out.end(), 0);
+}
+
+// Certain tasks never reach a lane: the block draw sets their bits itself.
+TEST(FeedbackAccess, OnlyUncertainTasksReachTheLane) {
+  FixedProbabilities fm({1.0, 0.5, 0.0, 1.0, 0.25});
+  const std::vector<double> deficits(5, 0.0);
+  const std::vector<Count> demands(5, Count{1});
+  // Task 4 is dormant; 0 and 3 always lack, 2 never does.
+  const FeedbackAccess fb(fm, 3, deficits, demands, 9, 0b01111);
+  std::vector<std::uint64_t> out(130);
+  fb.sample_lack_masks(0, std::vector<std::uint64_t>(out.size(), ~0ull), out,
+                       recording_lane);
+  EXPECT_EQ(lane_tasks_seen, 0b00010u);
+  for (const std::uint64_t mask : out) EXPECT_EQ(mask, 0b01001u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
