@@ -19,6 +19,7 @@
 #include "algo/batched.h"
 #include "common.h"
 #include "algo/precise_sigmoid.h"
+#include "algo/threshold.h"
 #include "metrics/metric.h"
 #include "noise/sigmoid.h"
 #include "rng/binomial.h"
@@ -284,6 +285,34 @@ void BM_AgentAntRound(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentAntRound)
     ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {0, 1}});
+
+// The response-threshold baseline's per-ant round at k = 4 under the noise
+// of BM_LackMaskBlock: every ant draws every task, then its 64-ant tile
+// updates the stimuli and decides (algo/threshold.h). Reports ant-rounds/s,
+// so its ratio to BM_LackMaskBlock is the share of the round the draw takes.
+void BM_AgentThresholdRound(benchmark::State& state) {
+  const auto n = static_cast<Count>(state.range(0));
+  const std::int32_t k = 4;
+  ThresholdAgent algo(ThresholdParams{});
+  SigmoidFeedback fm(0.05);
+  std::vector<TaskId> assignment(static_cast<std::size_t>(n), kIdle);
+  std::vector<TaskId> next(assignment.size(), kIdle);
+  const std::vector<double> deficits(static_cast<std::size_t>(k), 5.0);
+  const std::vector<Count> demand_counts(static_cast<std::size_t>(k),
+                                         Count{64});
+  algo.reset(n, k, assignment, 3);
+  Round t = 1;
+  for (auto _ : state) {
+    const FeedbackAccess fb(fm, t, deficits, demand_counts, 3);
+    algo.step(t, fb, assignment, next);
+    assignment.swap(next);
+    benchmark::DoNotOptimize(assignment.data());
+    benchmark::ClobberMemory();
+    ++t;
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_AgentThresholdRound)->Arg(1 << 14);
 
 // Campaign scheduling throughput: arg0 = cells, arg1 = replicates per cell,
 // arg2 = scheduler (0 = the pre-task-graph sequential cell loop — one

@@ -177,13 +177,18 @@ class FeedbackAccess {
     }
   }
 
-  // Calls fn(i, lack_mask) for ants i = 0..n-1 in order, where lack_mask is
-  // sample_lack_mask(i) & want(i): the agent algorithms' block draw, 64 ants
-  // at a time into stack arrays. Every want(i) of a block is read before the
-  // first fn of that block runs, so want must not depend on what fn writes
-  // for lower-numbered ants of the same block.
+  // The block draw's width: for_each_lack_block hands fn at most this many
+  // ants at a time.
+  static constexpr std::size_t kLackBlock = 64;
+
+  // Calls fn(base, masks) for the blocks of ants 0..n-1 in order, base = 0,
+  // 64, 128, ...; masks (a std::span<const std::uint64_t> of
+  // min(64, n - base) entries, stack storage valid only during the call)
+  // holds sample_lack_mask(base + a) & want(base + a). Every want(i) of a
+  // block is read before fn sees that block, so want must not depend on
+  // what fn writes for the same block.
   template <class WantFn, class Fn>
-  void for_each_lack_mask(std::int64_t n, WantFn&& want, Fn&& fn) const {
+  void for_each_lack_block(std::int64_t n, WantFn&& want, Fn&& fn) const {
     std::array<std::uint64_t, kLackBlock> wants{};
     std::array<std::uint64_t, kLackBlock> masks{};
     for (std::int64_t base = 0; base < n; base += kLackBlock) {
@@ -194,15 +199,29 @@ class FeedbackAccess {
       }
       sample_lack_masks(base, std::span(wants).first(len),
                         std::span(masks).first(len));
-      for (std::size_t a = 0; a < len; ++a) {
-        fn(base + static_cast<std::int64_t>(a), masks[a]);
-      }
+      fn(base, std::span<const std::uint64_t>(masks).first(len));
     }
   }
 
- private:
-  static constexpr std::size_t kLackBlock = 64;
+  // Calls fn(i, lack_mask) for ants i = 0..n-1 in order, where lack_mask is
+  // sample_lack_mask(i) & want(i): for_each_lack_block, one ant at a time.
+  // want must not depend on what fn writes for lower-numbered ants of the
+  // same 64-ant block.
+  template <class WantFn, class Fn>
+  void for_each_lack_mask(std::int64_t n, WantFn&& want, Fn&& fn) const {
+    for_each_lack_block(
+        n, want, [&](std::int64_t base, std::span<const std::uint64_t> masks) {
+          // Bound once per block: called through the capture, GCC reloads
+          // the reference for every ant, which cost precise-adversarial
+          // about a fifth of its rate.
+          Fn& per_ant = fn;
+          for (std::size_t a = 0; a < masks.size(); ++a) {
+            per_ant(base + static_cast<std::int64_t>(a), masks[a]);
+          }
+        });
+  }
 
+ private:
   // hash_words(seed, t, ant) — the per-ant prefix of every cell seed.
   std::uint64_t ant_key(std::int64_t ant) const {
     return rng::hash_combine(round_key_, static_cast<std::uint64_t>(ant));

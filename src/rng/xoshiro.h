@@ -48,6 +48,11 @@ class Xoshiro256 {
     return result;
   }
 
+  // An output read as a uniform double in [0, 1) with 53 random bits.
+  static constexpr double to_unit(result_type x) noexcept {
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  }
+
   // Uniform double in [0, 1) with 53 random bits.
   constexpr double uniform() noexcept { return to_unit((*this)()); }
 
@@ -70,9 +75,6 @@ class Xoshiro256 {
   // The ** scrambler: an output as a function of state word 1.
   static constexpr result_type scramble(std::uint64_t s1) noexcept {
     return rotl(s1 * 5, 7) * 9;
-  }
-  static constexpr double to_unit(result_type x) noexcept {
-    return static_cast<double>(x >> 11) * 0x1.0p-53;
   }
 
   std::uint64_t state_[4]{};
