@@ -60,6 +60,33 @@ void BM_PoissonBinomialPmf(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonBinomialPmf)->Arg(8)->Arg(64)->Arg(256);
 
+// The join marginals the aggregate kernels need every round, over 64 fixed
+// inputs of k tasks. Args: k, then 0 for grey inputs (every p in (0, 1),
+// every task convolved) or 1 for all-certain ones (every p exactly 0 or 1,
+// none convolved).
+void BM_ChoiceMarginals(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const bool certain = state.range(1) == 1;
+  constexpr std::size_t kInputs = 64;
+  rng::Xoshiro256 gen(3);
+  std::vector<double> p(kInputs * k);
+  for (double& x : p) {
+    x = certain ? static_cast<double>(gen.uniform_below(2))
+                : 0.05 + 0.9 * gen.uniform();
+  }
+  std::vector<double> q(k);
+  rng::ChoiceMarginalsWorkspace ws;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    rng::uniform_choice_marginals_into(
+        std::span<const double>(p.data() + i * k, k), q, ws);
+    benchmark::DoNotOptimize(q.data());
+    i = (i + 1) % kInputs;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChoiceMarginals)->ArgsProduct({{8}, {0, 1}});
+
 // One round's worth of count-stream draws: what the batched path pays where
 // the per-ant path pays n re-seeded generators.
 void BM_BulkBinomialRound(benchmark::State& state) {

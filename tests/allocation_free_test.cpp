@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "agent/agent_sim.h"
 #include "aggregate/aggregate_sim.h"
@@ -136,17 +137,26 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The aggregate engine on a colony large enough that the count draws take
-// every binomial regime (bit sum, inversion and BTRD).
-std::uint64_t kernel_allocations_for_run(const std::string& algo,
-                                         Round rounds) {
+// every binomial regime (bit sum, inversion and BTRD). Demands cycle through
+// `pattern`, so some tasks sit in the grey zone and others are certain.
+struct KernelCase {
+  std::string algo;
+  std::size_t k = 4;
+  std::vector<Count> pattern;
+};
+
+std::uint64_t kernel_allocations_for_run(const KernelCase& c, Round rounds) {
   const std::uint64_t before =
       g_allocations.load(std::memory_order_relaxed);
   {
     auto kernel = make_aggregate_kernel(
-        AlgoConfig{.name = algo, .gamma = 0.05, .epsilon = 0.9});
+        AlgoConfig{.name = c.algo, .gamma = 0.05, .epsilon = 0.9});
     SigmoidFeedback fm(0.05);
-    const DemandVector demands(
-        {Count{20'000}, Count{12'000}, Count{6'000}, Count{40}});
+    std::vector<Count> d(c.k);
+    for (std::size_t j = 0; j < c.k; ++j) {
+      d[j] = c.pattern[j % c.pattern.size()];
+    }
+    const DemandVector demands(d);
     AggregateSimConfig cfg{.n_ants = 65'536, .rounds = rounds, .seed = 11};
     cfg.metrics.gamma = 0.05;
     const auto res = run_aggregate_sim(*kernel, fm, demands, cfg);
@@ -155,24 +165,37 @@ std::uint64_t kernel_allocations_for_run(const std::string& algo,
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-class KernelAllocationFree : public ::testing::TestWithParam<std::string> {};
+class KernelAllocationFree : public ::testing::TestWithParam<KernelCase> {};
 
 TEST_P(KernelAllocationFree, RoundCountDoesNotChangeAllocationCount) {
-  const std::string& algo = GetParam();
-  (void)kernel_allocations_for_run(algo, 50);
-  const std::uint64_t short_run = kernel_allocations_for_run(algo, 100);
-  const std::uint64_t long_run = kernel_allocations_for_run(algo, 300);
+  const KernelCase& c = GetParam();
+  (void)kernel_allocations_for_run(c, 50);
+  const std::uint64_t short_run = kernel_allocations_for_run(c, 100);
+  const std::uint64_t long_run = kernel_allocations_for_run(c, 300);
   EXPECT_EQ(short_run, long_run)
-      << "per-round heap allocations detected for the " << algo << " kernel";
+      << "per-round heap allocations detected for the " << c.algo
+      << " kernel at k=" << c.k;
   EXPECT_GT(short_run, 0u);
+}
+
+// k = 4, and k = 17 and 70, where the join marginals' lanes span several
+// vectors and their workspace is sized for many uncertain tasks.
+std::vector<KernelCase> kernel_cases() {
+  std::vector<KernelCase> cases;
+  for (const char* algo :
+       {"ant", "precise-sigmoid", "trivial", "sharp-threshold", "oracle"}) {
+    cases.push_back({algo, 4, {20'000, 12'000, 6'000, 40}});
+    cases.push_back({algo, 17, {6'000, 3'000, 1'200, 40}});
+    cases.push_back({algo, 70, {1'600, 800, 300, 20}});
+  }
+  return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AggregateKernels, KernelAllocationFree,
-    ::testing::Values("ant", "precise-sigmoid", "trivial", "sharp-threshold",
-                      "oracle"),
-    [](const ::testing::TestParamInfo<std::string>& i) {
-      std::string name = i.param;
+    ::testing::ValuesIn(kernel_cases()),
+    [](const ::testing::TestParamInfo<KernelCase>& i) {
+      std::string name = i.param.algo + "_k" + std::to_string(i.param.k);
       for (char& ch : name) {
         if (ch == '-') ch = '_';
       }
