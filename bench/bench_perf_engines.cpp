@@ -21,6 +21,7 @@
 #include "algo/precise_sigmoid.h"
 #include "algo/threshold.h"
 #include "metrics/metric.h"
+#include "metrics/regret.h"
 #include "noise/sigmoid.h"
 #include "rng/binomial.h"
 #include "rng/splitmix.h"
@@ -264,6 +265,40 @@ void BM_AggregatePreciseSigmoidRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AggregatePreciseSigmoidRound);
+
+// MetricsRecorder::record_round alone, over 64 fixed load rows scattered
+// around the demands (deficits of both signs, some tasks outside their
+// band). Args: k, then 0 for the default metric selection or 1 for every
+// registered metric plus both per-task families.
+void BM_RecordRound(benchmark::State& state) {
+  const auto k = static_cast<std::int32_t>(state.range(0));
+  constexpr std::size_t kRows = 64;
+  const DemandVector demands = uniform_demands(k, 1000);
+  rng::Xoshiro256 gen(5);
+  std::vector<Count> loads(kRows * static_cast<std::size_t>(k));
+  for (Count& w : loads) w = 940 + static_cast<Count>(gen.uniform_below(121));
+  MetricsRecorder::Options opts{.gamma = 0.01};
+  if (state.range(1) == 1) {
+    opts.names = metric_names();
+    opts.names.push_back("oscillation-per-task@" + std::to_string(k));
+    opts.names.push_back("convergence-per-task@" + std::to_string(k));
+  }
+  MetricsRecorder recorder(k, Count{1} << 16, opts);
+  Round t = 1;
+  std::size_t row = 0;
+  for (auto _ : state) {
+    recorder.record_round(RoundView{
+        .t = t++,
+        .loads = std::span<const Count>(
+            loads.data() + row * static_cast<std::size_t>(k),
+            static_cast<std::size_t>(k)),
+        .demands = &demands});
+    benchmark::ClobberMemory();
+    row = (row + 1) % kRows;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecordRound)->ArgsProduct({{8, 64}, {0, 1}});
 
 // arg0 = colony size, arg1 = sampling mode (0 per-ant, 1 batched). The
 // batched arm drives the runner directly, the same work run_agent_sim's fast

@@ -376,7 +376,13 @@ int main(int argc, char** argv) {
                       campaign_config_hash(campaign)));
     }
     std::printf("\n");
-    const CampaignResult result = run_campaign(campaign);
+    CampaignResult result;
+    try {
+      result = run_campaign(campaign);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
     std::printf("%s\n", result.table().render().c_str());
     if (!out_dir.empty()) {
       const std::string manifest =

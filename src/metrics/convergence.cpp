@@ -1,5 +1,6 @@
 #include "metrics/convergence.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace antalloc {
@@ -22,31 +23,27 @@ void ConvergenceAccumulator::observe(Round t, std::span<const Count> loads,
                                      const DemandVector& demands) {
   bool ok = true;
   for (TaskId j = 0; j < demands.num_tasks(); ++j) {
-    const Count delta = demands[j] - loads[static_cast<std::size_t>(j)];
-    const double band = 5.0 * gamma_ * static_cast<double>(demands[j]) + 3.0;
-    if (std::abs(static_cast<double>(delta)) > band) {
-      ok = false;
-      break;
-    }
+    ok = ok && !outside_band(demands[j] - loads[static_cast<std::size_t>(j)],
+                             demands[j], gamma_);
   }
-  if (ok && stats_.first_in_band < 0) stats_.first_in_band = t;
-  if (!ok) stats_.last_violation = t;
-  // The entry round itself counts toward occupancy, matching the trace scan
-  // (its occupancy loop starts at the entry index).
-  if (stats_.first_in_band >= 0) {
-    ++total_after_entry_;
-    if (ok) ++inside_after_entry_;
-  }
+  observe(t, ok);
 }
 
-ConvergenceStats ConvergenceAccumulator::stats() const {
-  ConvergenceStats out = stats_;
-  if (out.first_in_band >= 0) {
+ConvergenceColumns::ConvergenceColumns(std::int32_t k)
+    : k_(static_cast<std::size_t>(k)), cols_(4 * k_, 0) {
+  std::fill_n(cols_.begin(), k_, Round{-1});
+}
+
+ConvergenceStats ConvergenceColumns::stats(std::int32_t j) const {
+  const std::size_t i = static_cast<std::size_t>(j);
+  ConvergenceStats out;
+  out.first_in_band = cols_[i];
+  out.last_violation = cols_[k_ + i];
+  const Round inside = cols_[2 * k_ + i];
+  const Round total = cols_[3 * k_ + i];
+  if (out.first_in_band >= 0 && total > 0) {
     out.occupancy_after_entry =
-        total_after_entry_ > 0
-            ? static_cast<double>(inside_after_entry_) /
-                  static_cast<double>(total_after_entry_)
-            : 0.0;
+        static_cast<double>(inside) / static_cast<double>(total);
   }
   return out;
 }

@@ -2,377 +2,20 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 
-#include "metrics/convergence.h"
-#include "metrics/oscillation.h"
-
 namespace antalloc {
-
-Metric::~Metric() = default;
 
 RoundSink::~RoundSink() = default;
 
 namespace {
 
-// Every built-in replicates the exact accumulation order of the statistic it
-// streams (the legacy SimResult fields for the regret family, the trace
-// scans for convergence/oscillation), so metric_equivalence_test can pin
-// bit-equality, and the default campaign columns reproduce the pre-registry
-// numbers exactly.
-
-// Per-round regret r(t) = Σ_j |d(j) - W(j)|, summed in task order — the
-// same integer-then-double accumulation the legacy recorder core uses.
-Count round_regret(const RoundView& view) {
-  const DemandVector& demands = *view.demands;
-  Count r = 0;
-  for (std::int32_t j = 0; j < demands.num_tasks(); ++j) {
-    const Count delta = demands[j] - view.loads[static_cast<std::size_t>(j)];
-    r += std::abs(delta);
-  }
-  return r;
-}
-
-// "regret": post-warmup average per-round regret — the scalar the campaign
-// always reported.
-class RegretMetric final : public Metric {
- public:
-  explicit RegretMetric(const MetricContext& ctx) : warmup_(ctx.warmup) {}
-
-  void on_round(const RoundView& view) override {
-    if (view.t > warmup_) {
-      ++rounds_;
-      sum_ += static_cast<double>(round_regret(view));
-    }
-  }
-
-  void finish(std::vector<std::string>& names,
-              std::vector<double>& values) override {
-    names.push_back("regret");
-    values.push_back(rounds_ > 0 ? sum_ / static_cast<double>(rounds_) : 0.0);
-  }
-
- private:
-  Round warmup_;
-  Round rounds_ = 0;
-  double sum_ = 0.0;
-};
-
-// "violations": rounds in which some task had |Δ(j)| > 5γ·d(j) + 3.
-class ViolationsMetric final : public Metric {
- public:
-  explicit ViolationsMetric(const MetricContext& ctx) : gamma_(ctx.gamma) {}
-
-  void on_round(const RoundView& view) override {
-    const DemandVector& demands = *view.demands;
-    for (std::int32_t j = 0; j < demands.num_tasks(); ++j) {
-      const Count delta =
-          demands[j] - view.loads[static_cast<std::size_t>(j)];
-      const double d = static_cast<double>(demands[j]);
-      if (std::abs(static_cast<double>(delta)) > 5.0 * gamma_ * d + 3.0) {
-        ++violation_rounds_;
-        return;
-      }
-    }
-  }
-
-  void finish(std::vector<std::string>& names,
-              std::vector<double>& values) override {
-    names.push_back("violations");
-    values.push_back(static_cast<double>(violation_rounds_));
-  }
-
- private:
-  double gamma_;
-  std::int64_t violation_rounds_ = 0;
-};
-
-// "switches": total assignment changes normalized per ant per round —
-// exactly the campaign's historical switches_per_ant_round expression.
-class SwitchesMetric final : public Metric {
- public:
-  explicit SwitchesMetric(const MetricContext& ctx) : n_ants_(ctx.n_ants) {}
-
-  void on_round(const RoundView& view) override {
-    total_ += view.switches;
-    last_round_ = view.t;
-  }
-
-  void finish(std::vector<std::string>& names,
-              std::vector<double>& values) override {
-    names.push_back("switches_per_ant_round");
-    values.push_back(last_round_ > 0 && n_ants_ > 0
-                         ? static_cast<double>(total_) /
-                               static_cast<double>(last_round_) /
-                               static_cast<double>(n_ants_)
-                         : 0.0);
-  }
-
- private:
-  Count n_ants_;
-  std::int64_t total_ = 0;
-  Round last_round_ = 0;
-};
-
-// "regret-split": whole-horizon R⁺ / R≈ / R⁻ totals (paper §2.3/§4).
-class RegretSplitMetric final : public Metric {
- public:
-  explicit RegretSplitMetric(const MetricContext& ctx)
-      : gamma_(ctx.gamma), bands_(ctx.bands) {}
-
-  void on_round(const RoundView& view) override {
-    const DemandVector& demands = *view.demands;
-    const double g = gamma_;
-    const double cp = bands_.c_plus();
-    const double cm = bands_.c_minus();
-    Count r = 0;
-    double r_plus = 0.0;
-    double r_minus = 0.0;
-    for (std::int32_t j = 0; j < demands.num_tasks(); ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      const Count w = view.loads[ju];
-      const double d = static_cast<double>(demands[j]);
-      r += std::abs(demands[j] - w);
-      const double over = static_cast<double>(w) - (1.0 + cp * g) * d;
-      if (over > 0.0) r_plus += over;
-      const double lack = (1.0 - cm * g) * d - static_cast<double>(w);
-      if (lack > 0.0) r_minus += lack;
-    }
-    plus_ += r_plus;
-    minus_ += r_minus;
-    near_ += static_cast<double>(r) - r_plus - r_minus;
-  }
-
-  void finish(std::vector<std::string>& names,
-              std::vector<double>& values) override {
-    names.insert(names.end(), {"regret_plus", "regret_near", "regret_minus"});
-    values.insert(values.end(), {plus_, near_, minus_});
-  }
-
- private:
-  double gamma_;
-  RegretBands bands_;
-  double plus_ = 0.0;
-  double near_ = 0.0;
-  double minus_ = 0.0;
-};
-
-// "closeness": per-round r(t)/(γ·Σd(t)), averaged over post-warmup rounds.
-// For a constant schedule this equals the legacy SimResult::closeness with
-// gamma_star = the run's γ; under varying demands it normalizes each round
-// by the total demand then in force.
-class ClosenessMetric final : public Metric {
- public:
-  explicit ClosenessMetric(const MetricContext& ctx)
-      : gamma_(ctx.gamma), warmup_(ctx.warmup) {}
-
-  void on_round(const RoundView& view) override {
-    if (view.t <= warmup_) return;
-    ++rounds_;
-    const double denom =
-        gamma_ * static_cast<double>(view.demands->total());
-    if (denom > 0.0) {
-      sum_ += static_cast<double>(round_regret(view)) / denom;
-    }
-  }
-
-  void finish(std::vector<std::string>& names,
-              std::vector<double>& values) override {
-    names.push_back("closeness");
-    values.push_back(rounds_ > 0 ? sum_ / static_cast<double>(rounds_) : 0.0);
-  }
-
- private:
-  double gamma_;
-  Round warmup_;
-  Round rounds_ = 0;
-  double sum_ = 0.0;
-};
-
-// "convergence": streaming Theorem 3.1 band entry/occupancy — the
-// ConvergenceAccumulator (metrics/convergence.h) driven per round instead
-// of a post-hoc trace scan.
-class ConvergenceMetric final : public Metric {
- public:
-  explicit ConvergenceMetric(const MetricContext& ctx) : acc_(ctx.gamma) {}
-
-  void on_round(const RoundView& view) override {
-    acc_.observe(view.t, view.loads, *view.demands);
-  }
-
-  void finish(std::vector<std::string>& names,
-              std::vector<double>& values) override {
-    const ConvergenceStats stats = acc_.stats();
-    names.insert(names.end(),
-                 {"convergence_round", "last_violation", "band_occupancy"});
-    values.insert(values.end(), {static_cast<double>(stats.first_in_band),
-                                 static_cast<double>(stats.last_violation),
-                                 stats.occupancy_after_entry});
-  }
-
- private:
-  ConvergenceAccumulator acc_;
-};
-
-// "oscillation": one streaming OscillationAccumulator per task, aggregated
-// as plain task-order means/max so the trace-based oracle
-// (analyze_trace_task per task, combined the same way) reproduces the
-// scalars bit-exactly.
-class OscillationMetric final : public Metric {
- public:
-  explicit OscillationMetric(const MetricContext& ctx)
-      : tasks_(static_cast<std::size_t>(ctx.num_tasks)) {}
-
-  void on_round(const RoundView& view) override {
-    const DemandVector& demands = *view.demands;
-    for (std::int32_t j = 0; j < demands.num_tasks(); ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      tasks_[ju].add(demands[j] - view.loads[ju]);
-    }
-  }
-
-  void finish(std::vector<std::string>& names,
-              std::vector<double>& values) override {
-    double rate_sum = 0.0;
-    double mean_abs_sum = 0.0;
-    double max_abs = 0.0;
-    for (const OscillationAccumulator& acc : tasks_) {
-      const OscillationStats stats = acc.stats();
-      rate_sum += stats.crossing_rate();
-      mean_abs_sum += stats.mean_abs_deficit;
-      const auto task_max = static_cast<double>(stats.max_abs_deficit);
-      if (task_max > max_abs) max_abs = task_max;
-    }
-    const auto k = static_cast<double>(tasks_.size());
-    names.insert(names.end(), {"osc_crossing_rate", "osc_max_abs_deficit",
-                               "osc_mean_abs_deficit"});
-    values.insert(values.end(),
-                  {tasks_.empty() ? 0.0 : rate_sum / k, max_abs,
-                   tasks_.empty() ? 0.0 : mean_abs_sum / k});
-  }
-
- private:
-  std::vector<OscillationAccumulator> tasks_;
-};
-
-// "oscillation-per-task@K": the same per-task OscillationAccumulators as
-// the aggregate metric, but each task's statistics emitted as its own
-// "<scalar>.task<i>" columns instead of folded into task-order means/max.
-// The aggregate scalars are bit-reconstructable from these columns by the
-// identical arithmetic (sum the crossing rates in task order and divide by
-// k, running max of the maxima) — per_task_metric_test pins it.
-class PerTaskOscillationMetric final : public Metric {
- public:
-  PerTaskOscillationMetric(const MetricContext& ctx, std::int32_t k)
-      : tasks_(static_cast<std::size_t>(k)) {
-    if (ctx.num_tasks != k) {
-      throw std::invalid_argument(
-          "oscillation-per-task@" + std::to_string(k) + " requires a " +
-          std::to_string(k) + "-task colony, this run has " +
-          std::to_string(ctx.num_tasks) + " tasks");
-    }
-  }
-
-  void on_round(const RoundView& view) override {
-    const DemandVector& demands = *view.demands;
-    for (std::int32_t j = 0; j < demands.num_tasks(); ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      tasks_[ju].add(demands[j] - view.loads[ju]);
-    }
-  }
-
-  void finish(std::vector<std::string>& names,
-              std::vector<double>& values) override {
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-      const OscillationStats stats = tasks_[i].stats();
-      const std::string suffix = ".task" + std::to_string(i);
-      names.insert(names.end(), {"osc_crossing_rate" + suffix,
-                                 "osc_max_abs_deficit" + suffix,
-                                 "osc_mean_abs_deficit" + suffix});
-      values.insert(values.end(),
-                    {stats.crossing_rate(),
-                     static_cast<double>(stats.max_abs_deficit),
-                     stats.mean_abs_deficit});
-    }
-  }
-
- private:
-  std::vector<OscillationAccumulator> tasks_;
-};
-
-// "convergence-per-task@K": the Theorem 3.1 band test applied to each task
-// alone — the same per-round arithmetic as ConvergenceAccumulator but with
-// the all-tasks conjunction dropped, so convergence_round.task<i> is when
-// task i itself entered its band. The joint accumulator's last_violation is
-// exactly max_i last_violation.task<i> (a joint violation IS some task's
-// violation), which per_task_metric_test pins.
-class PerTaskConvergenceMetric final : public Metric {
- public:
-  PerTaskConvergenceMetric(const MetricContext& ctx, std::int32_t k)
-      : gamma_(ctx.gamma), tasks_(static_cast<std::size_t>(k)) {
-    if (ctx.num_tasks != k) {
-      throw std::invalid_argument(
-          "convergence-per-task@" + std::to_string(k) + " requires a " +
-          std::to_string(k) + "-task colony, this run has " +
-          std::to_string(ctx.num_tasks) + " tasks");
-    }
-  }
-
-  void on_round(const RoundView& view) override {
-    const DemandVector& demands = *view.demands;
-    for (std::int32_t j = 0; j < demands.num_tasks(); ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      TaskState& s = tasks_[ju];
-      const Count delta = demands[j] - view.loads[ju];
-      const double band =
-          5.0 * gamma_ * static_cast<double>(demands[j]) + 3.0;
-      const bool ok = std::abs(static_cast<double>(delta)) <= band;
-      if (ok && s.first_in_band < 0) s.first_in_band = view.t;
-      if (!ok) s.last_violation = view.t;
-      if (s.first_in_band >= 0) {
-        ++s.total_after_entry;
-        if (ok) ++s.inside_after_entry;
-      }
-    }
-  }
-
-  void finish(std::vector<std::string>& names,
-              std::vector<double>& values) override {
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-      const TaskState& s = tasks_[i];
-      const std::string suffix = ".task" + std::to_string(i);
-      names.insert(names.end(), {"convergence_round" + suffix,
-                                 "last_violation" + suffix,
-                                 "band_occupancy" + suffix});
-      const double occupancy =
-          s.first_in_band >= 0 && s.total_after_entry > 0
-              ? static_cast<double>(s.inside_after_entry) /
-                    static_cast<double>(s.total_after_entry)
-              : 0.0;
-      values.insert(values.end(), {static_cast<double>(s.first_in_band),
-                                   static_cast<double>(s.last_violation),
-                                   occupancy});
-    }
-  }
-
- private:
-  struct TaskState {
-    std::int64_t first_in_band = -1;
-    std::int64_t last_violation = 0;
-    std::int64_t inside_after_entry = 0;
-    std::int64_t total_after_entry = 0;
-  };
-  double gamma_;
-  std::vector<TaskState> tasks_;
-};
-
 struct MetricInfo {
   const char* name;
   const char* description;
   std::vector<MetricScalar> scalars;
-  std::function<std::unique_ptr<Metric>(const MetricContext&)> make;
+  MetricFold fold;
 };
 
 // Registration order is presentation order (CLI listings, default columns).
@@ -384,57 +27,43 @@ const std::vector<MetricInfo>& registry() {
        "post-warmup average per-round regret sum_j |d(j) - W(j)| (paper "
        "S2.3)",
        {{"regret", "regret_mean", 5, /*ci95=*/true, 4}},
-       [](const MetricContext& ctx) {
-         return std::make_unique<RegretMetric>(ctx);
-       }},
+       MetricFold::kRegret},
       {"violations",
        "rounds in which some task violates the Theorem 3.1 deficit band "
        "5*gamma*d(j)+3",
        {{"violations", "violations_mean", 6}},
-       [](const MetricContext& ctx) {
-         return std::make_unique<ViolationsMetric>(ctx);
-       }},
+       MetricFold::kViolations},
       {"switches",
        "assignment changes per ant per round, lifecycle flushes included "
        "(Theorem 3.6)",
        {{"switches_per_ant_round", "switches_per_ant_round", 6}},
-       [](const MetricContext& ctx) {
-         return std::make_unique<SwitchesMetric>(ctx);
-       }},
+       MetricFold::kSwitches},
       {"regret-split",
        "whole-horizon R+/R~/R- regret decomposition: overload beyond the "
        "band, controlled oscillation, lack",
        {{"regret_plus", "regret_plus_mean", 5},
         {"regret_near", "regret_near_mean", 5},
         {"regret_minus", "regret_minus_mean", 5}},
-       [](const MetricContext& ctx) {
-         return std::make_unique<RegretSplitMetric>(ctx);
-       }},
+       MetricFold::kRegretSplit},
       {"closeness",
        "post-warmup average of r(t)/(gamma * total demand in force) — the "
        "paper's c-closeness with gamma_star = gamma",
        {{"closeness", "closeness_mean", 5, /*ci95=*/true, 4}},
-       [](const MetricContext& ctx) {
-         return std::make_unique<ClosenessMetric>(ctx);
-       }},
+       MetricFold::kCloseness},
       {"convergence",
        "first round entering the Theorem 3.1 band, last violating round, "
        "and band occupancy after entry",
        {{"convergence_round", "convergence_round_mean", 7},
         {"last_violation", "last_violation_mean", 7},
         {"band_occupancy", "band_occupancy_mean", 5}},
-       [](const MetricContext& ctx) {
-         return std::make_unique<ConvergenceMetric>(ctx);
-       }},
+       MetricFold::kConvergence},
       {"oscillation",
        "per-task deficit oscillation: sign-change rate, peak amplitude and "
        "mean |deficit| (Theorem 3.3, Appendix D)",
        {{"osc_crossing_rate", "osc_crossing_rate_mean", 5},
         {"osc_max_abs_deficit", "osc_max_abs_deficit_mean", 7},
         {"osc_mean_abs_deficit", "osc_mean_abs_deficit_mean", 4}},
-       [](const MetricContext& ctx) {
-         return std::make_unique<OscillationMetric>(ctx);
-       }},
+       MetricFold::kOscillation},
   };
   return metrics;
 }
@@ -577,15 +206,220 @@ std::vector<MetricScalar> metric_scalar_columns(
   return columns;
 }
 
-std::unique_ptr<Metric> make_metric(const std::string& name,
-                                    const MetricContext& ctx) {
-  if (const auto p = parse_per_task(name)) {
-    if (p->base == PerTaskName::Base::kOscillation) {
-      return std::make_unique<PerTaskOscillationMetric>(ctx, p->k);
+namespace {
+
+// max(x, 0.0) without a branch: x + |x| is +0.0 for x <= 0 and 2x, exact
+// below DBL_MAX / 2, otherwise; halving 2x is exact.
+double positive_part(double x) { return (x + std::abs(x)) * 0.5; }
+
+}  // namespace
+
+std::unique_ptr<MetricSet> make_metric(const std::string& name,
+                                       const MetricContext& ctx) {
+  return std::make_unique<MetricSet>(ctx, std::vector<std::string>{name});
+}
+
+MetricSet::MetricSet(const MetricContext& ctx,
+                     const std::vector<std::string>& names)
+    : ctx_(ctx),
+      deficits_(static_cast<std::size_t>(ctx.num_tasks), 0),
+      outside_(static_cast<std::size_t>(ctx.num_tasks), 0),
+      convergence_acc_(ctx.gamma) {
+  for (const std::string& name : resolve_metric_names(names)) {
+    MetricFold fold;
+    if (const auto p = parse_per_task(name)) {
+      if (ctx.num_tasks != p->k) {
+        throw std::invalid_argument(
+            name + " requires a " + std::to_string(p->k) +
+            "-task colony, this run has " + std::to_string(ctx.num_tasks) +
+            " tasks");
+      }
+      fold = p->base == PerTaskName::Base::kOscillation
+                 ? MetricFold::kOscillationPerTask
+                 : MetricFold::kConvergencePerTask;
+    } else {
+      fold = find_metric_info(name).fold;
     }
-    return std::make_unique<PerTaskConvergenceMetric>(ctx, p->k);
+    order_.push_back(fold);
+    folds_ |= 1u << static_cast<unsigned>(fold);
   }
-  return find_metric_info(name).make(ctx);
+  if (selected(MetricFold::kOscillation) ||
+      selected(MetricFold::kOscillationPerTask)) {
+    oscillation_cols_ = OscillationColumns(ctx.num_tasks);
+  }
+  if (selected(MetricFold::kConvergencePerTask)) {
+    convergence_cols_ = ConvergenceColumns(ctx.num_tasks);
+  }
+}
+
+const RoundSummary& MetricSet::on_round(const RoundView& view) {
+  summarize(view);
+  fold(summary_);
+  return summary_;
+}
+
+// The round's one pass over the tasks, branch-free: the historical
+// recorder arithmetic in the historical order. positive_part adds a +0.0
+// term where the guarded add added nothing, which leaves a sum seeded at
+// +0.0 bit-equal.
+void MetricSet::summarize(const RoundView& view) {
+  const DemandVector& demands = *view.demands;
+  const auto k = static_cast<std::size_t>(demands.num_tasks());
+  const Count* d = demands.values().data();
+  const Count* w = view.loads.data();
+  Count* deficits = deficits_.data();
+  std::uint8_t* outside = outside_.data();
+  const double g = ctx_.gamma;
+  const double over_scale = 1.0 + ctx_.bands.c_plus() * g;
+  const double lack_scale = 1.0 - ctx_.bands.c_minus() * g;
+
+  Count r = 0;
+  double r_plus = 0.0;
+  double r_minus = 0.0;
+  std::uint8_t violated = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const Count demand = d[j];
+    const Count load = w[j];
+    const Count delta = demand - load;
+    const double dj = static_cast<double>(demand);
+    const double wj = static_cast<double>(load);
+    deficits[j] = delta;
+    r += std::abs(delta);
+    r_plus += positive_part(wj - over_scale * dj);
+    r_minus += positive_part(lack_scale * dj - wj);
+    const std::uint8_t out = outside_band(delta, demand, g);
+    outside[j] = out;
+    violated |= out;
+  }
+
+  summary_ = RoundSummary{.t = view.t,
+                          .switches = view.switches,
+                          .deficits = {deficits, k},
+                          .outside = {outside, k},
+                          .regret = r,
+                          .total_demand = demands.total(),
+                          .regret_plus = r_plus,
+                          .regret_minus = r_minus,
+                          .violated = violated != 0};
+}
+
+void MetricSet::fold(const RoundSummary& s) {
+  const auto r = static_cast<double>(s.regret);
+  totals_.rounds = s.t;
+  totals_.switches += s.switches;
+  totals_.total_regret += r;
+  totals_.regret_plus += s.regret_plus;
+  totals_.regret_minus += s.regret_minus;
+  totals_.regret_near += r - s.regret_plus - s.regret_minus;
+  totals_.violation_rounds += s.violated;
+  if (s.t > ctx_.warmup) {
+    ++totals_.post_warmup_rounds;
+    totals_.post_warmup_regret += r;
+    const double denom = ctx_.gamma * static_cast<double>(s.total_demand);
+    if (selected(MetricFold::kCloseness) && denom > 0.0) {
+      closeness_sum_ += r / denom;
+    }
+  }
+  if (selected(MetricFold::kConvergence)) {
+    convergence_acc_.observe(s.t, !s.violated);
+  }
+  if (oscillation_cols_.num_tasks() > 0) oscillation_cols_.add(s.deficits);
+  if (selected(MetricFold::kConvergencePerTask)) {
+    convergence_cols_.add(s.t, s.outside);
+  }
+}
+
+void MetricSet::finish(std::vector<std::string>& names,
+                       std::vector<double>& values) const {
+  const auto per_round = [](double sum, Round rounds) {
+    return rounds > 0 ? sum / static_cast<double>(rounds) : 0.0;
+  };
+  const auto emit_convergence = [&](const ConvergenceStats& stats,
+                                    const std::string& suffix) {
+    names.insert(names.end(), {"convergence_round" + suffix,
+                               "last_violation" + suffix,
+                               "band_occupancy" + suffix});
+    values.insert(values.end(), {static_cast<double>(stats.first_in_band),
+                                 static_cast<double>(stats.last_violation),
+                                 stats.occupancy_after_entry});
+  };
+  const RoundTotals& t = totals_;
+  for (const MetricFold fold : order_) {
+    switch (fold) {
+      case MetricFold::kRegret:
+        names.push_back("regret");
+        values.push_back(
+            per_round(t.post_warmup_regret, t.post_warmup_rounds));
+        break;
+      case MetricFold::kViolations:
+        names.push_back("violations");
+        values.push_back(static_cast<double>(t.violation_rounds));
+        break;
+      case MetricFold::kSwitches:
+        // The campaign's historical switches_per_ant_round expression.
+        names.push_back("switches_per_ant_round");
+        values.push_back(t.rounds > 0 && ctx_.n_ants > 0
+                             ? static_cast<double>(t.switches) /
+                                   static_cast<double>(t.rounds) /
+                                   static_cast<double>(ctx_.n_ants)
+                             : 0.0);
+        break;
+      case MetricFold::kRegretSplit:
+        names.insert(names.end(),
+                     {"regret_plus", "regret_near", "regret_minus"});
+        values.insert(values.end(),
+                      {t.regret_plus, t.regret_near, t.regret_minus});
+        break;
+      case MetricFold::kCloseness:
+        names.push_back("closeness");
+        values.push_back(per_round(closeness_sum_, t.post_warmup_rounds));
+        break;
+      case MetricFold::kConvergence:
+        emit_convergence(convergence_acc_.stats(), "");
+        break;
+      case MetricFold::kOscillation: {
+        // Task-order means and running max of the per-task statistics, so
+        // the trace oracle (analyze_trace_task per task, combined the same
+        // way) and the per-task columns reproduce them bit-exactly.
+        const std::int32_t k = oscillation_cols_.num_tasks();
+        double rate_sum = 0.0;
+        double mean_abs_sum = 0.0;
+        double max_abs = 0.0;
+        for (std::int32_t j = 0; j < k; ++j) {
+          const OscillationStats stats = oscillation_cols_.stats(j);
+          rate_sum += stats.crossing_rate();
+          mean_abs_sum += stats.mean_abs_deficit;
+          const auto task_max = static_cast<double>(stats.max_abs_deficit);
+          if (task_max > max_abs) max_abs = task_max;
+        }
+        const auto kd = static_cast<double>(k);
+        names.insert(names.end(), {"osc_crossing_rate", "osc_max_abs_deficit",
+                                   "osc_mean_abs_deficit"});
+        values.insert(values.end(), {k == 0 ? 0.0 : rate_sum / kd, max_abs,
+                                     k == 0 ? 0.0 : mean_abs_sum / kd});
+        break;
+      }
+      case MetricFold::kOscillationPerTask:
+        for (std::int32_t j = 0; j < oscillation_cols_.num_tasks(); ++j) {
+          const OscillationStats stats = oscillation_cols_.stats(j);
+          const std::string suffix = ".task" + std::to_string(j);
+          names.insert(names.end(), {"osc_crossing_rate" + suffix,
+                                     "osc_max_abs_deficit" + suffix,
+                                     "osc_mean_abs_deficit" + suffix});
+          values.insert(values.end(),
+                        {stats.crossing_rate(),
+                         static_cast<double>(stats.max_abs_deficit),
+                         stats.mean_abs_deficit});
+        }
+        break;
+      case MetricFold::kConvergencePerTask:
+        for (std::int32_t j = 0; j < ctx_.num_tasks; ++j) {
+          emit_convergence(convergence_cols_.stats(j),
+                           ".task" + std::to_string(j));
+        }
+        break;
+    }
+  }
 }
 
 }  // namespace antalloc

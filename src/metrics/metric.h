@@ -5,21 +5,24 @@
 // split R⁺/R≈/R⁻, Theorem 3.1 band violations, Theorem 3.6 switch counts,
 // convergence time, oscillation amplitude — and new theorem-shaped
 // measurements keep appearing. Instead of hardcoding one fixed set into
-// SimResult and every consumer above it, a metric is a named OBSERVER:
-// both engines emit one RoundView per round, each selected Metric folds it
-// into O(1)-per-round state, and finish() yields named scalars that flow
-// into SimResult's scalar map, campaign columns, shard CSVs and the CLI
-// with no further wiring. Observers stream, so million-round runs never
-// need a retained Trace to be measured (traces remain available as the
-// post-hoc oracle — the equivalence tests pin streaming == trace-scan
+// SimResult and every consumer above it, a metric is a named fold: both
+// engines emit one RoundView per round, MetricSet reduces it to one
+// RoundSummary in a single pass over the tasks (the deficit row, r(t), the
+// R⁺/R⁻ terms and the Theorem 3.1 band flags), each selected metric folds
+// that summary into O(1)-per-round state, and finish() yields named scalars
+// that flow into SimResult's scalar map, campaign columns, shard CSVs and
+// the CLI with no further wiring. Metrics stream, so million-round runs
+// never need a retained Trace to be measured (traces remain available as
+// the post-hoc oracle — the equivalence tests pin streaming == trace-scan
 // bit-exactly).
 //
-// Adding a metric = implement the Metric interface in metric.cpp, add one
-// row to the registry table (name, description, scalar columns, factory),
-// and it is selectable everywhere: MetricsRecorder::Options::names,
-// CampaignConfig (campaign columns + shard CSV columns appear
-// automatically), `antalloc_cli --metrics=` / `--list-metrics`. See the
-// metrics-subsystem section of docs/ARCHITECTURE.md for the recipe.
+// Adding a metric = add its fold to MetricSet (state, one line in
+// fold(), its scalars in finish()), add one row to the registry table in
+// metric.cpp (name, description, scalar columns, fold), and it is
+// selectable everywhere: MetricsRecorder::Options::names, CampaignConfig
+// (campaign columns + shard CSV columns appear automatically),
+// `antalloc_cli --metrics=` / `--list-metrics`. See the metrics-subsystem
+// section of docs/ARCHITECTURE.md for the recipe.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +34,8 @@
 
 #include "core/demand.h"
 #include "core/types.h"
+#include "metrics/convergence.h"
+#include "metrics/oscillation.h"
 
 namespace antalloc {
 
@@ -80,23 +85,7 @@ struct MetricContext {
   Round warmup = 0;  // rounds excluded from post-warmup statistics
 };
 
-// A streaming per-round observer. Implementations keep O(k) state, fold one
-// RoundView at a time, and emit their named scalars once at the end. The
-// scalar names must match the registry's declared MetricScalar list for the
-// metric, in order (metric_registry_test checks every built-in).
-class Metric {
- public:
-  virtual ~Metric();
-
-  virtual void on_round(const RoundView& view) = 0;
-
-  // Appends (name, value) pairs — one per declared scalar, in declaration
-  // order. Called once, after the last round.
-  virtual void finish(std::vector<std::string>& names,
-                      std::vector<double>& values) = 0;
-};
-
-// A raw per-round tap: like Metric but with no scalar contract — sinks see
+// A raw per-round tap: like MetricSet but with no scalar contract — sinks see
 // every RoundView the recorder sees and do something external with it
 // (write a binary trace record, feed a network subscriber). The recorder
 // does NOT own its sink (MetricsRecorder::Options::sink is a borrowed
@@ -171,8 +160,98 @@ std::vector<std::string> resolve_metric_names(
 std::vector<MetricScalar> metric_scalar_columns(
     const std::vector<std::string>& names);
 
-// Instantiates one observer; throws std::invalid_argument on unknown names.
-std::unique_ptr<Metric> make_metric(const std::string& name,
-                                    const MetricContext& ctx);
+// One round as the built-in metrics consume it, derived from a RoundView in
+// one pass over the tasks. Spans borrow MetricSet's buffers until its next
+// on_round().
+struct RoundSummary {
+  Round t = 0;
+  std::int64_t switches = 0;
+  std::span<const Count> deficits;        // Δ(j) = d(j) − W(j)
+  std::span<const std::uint8_t> outside;  // 1 where |Δ(j)| > 5γ·d(j) + 3
+  Count regret = 0;                       // r(t) = Σ_j |Δ(j)|
+  Count total_demand = 0;                 // Σ_j d(j) in force
+  double regret_plus = 0.0;   // Σ_j max(0, W(j) − (1 + c⁺γ)·d(j))
+  double regret_minus = 0.0;  // Σ_j max(0, (1 − c⁻γ)·d(j) − W(j))
+  bool violated = false;      // some task outside its band
+};
+
+// The always-on totals (SimResult's fixed fields), folded every round
+// whatever the selection.
+struct RoundTotals {
+  Round rounds = 0;  // t of the last folded round
+  std::int64_t switches = 0;
+  double total_regret = 0.0;
+  double regret_plus = 0.0;
+  double regret_near = 0.0;
+  double regret_minus = 0.0;
+  std::int64_t violation_rounds = 0;
+  Round post_warmup_rounds = 0;
+  double post_warmup_regret = 0.0;
+};
+
+// What a registered metric folds per round (see MetricSet).
+enum class MetricFold : std::uint8_t {
+  kRegret,       // reads RoundTotals at finish
+  kViolations,   // reads RoundTotals at finish
+  kSwitches,     // reads RoundTotals at finish
+  kRegretSplit,  // reads RoundTotals at finish
+  kCloseness,    // O(1): r(t) / (γ·Σd(t)) after warmup
+  kConvergence,  // O(1): the joint band flag
+  kOscillation,  // the deficit row, shared with the per-task family
+  kOscillationPerTask,
+  kConvergencePerTask,  // the per-task band flags
+};
+
+// A metric selection folded as one unit: on_round() makes the round's one
+// pass over the tasks and folds the summary into the totals and every
+// selected metric, with no per-metric dispatch. Each metric's arithmetic
+// exists once, here or in the column folds of metrics/convergence.h and
+// metrics/oscillation.h; MetricsRecorder and make_metric both run it.
+class MetricSet {
+ public:
+  // `names` as resolve_metric_names accepts them (empty = default set);
+  // throws std::invalid_argument on unknown or duplicate names and on a
+  // per-task family whose K is not ctx.num_tasks.
+  MetricSet(const MetricContext& ctx, const std::vector<std::string>& names);
+
+  // Folds one round; the returned summary is valid until the next call.
+  const RoundSummary& on_round(const RoundView& view);
+
+  const RoundTotals& totals() const { return totals_; }
+
+  // Appends every selected metric's scalars, one per declared MetricScalar,
+  // in selection and declaration order (metric_registry_test checks every
+  // built-in).
+  void finish(std::vector<std::string>& names,
+              std::vector<double>& values) const;
+
+ private:
+  void summarize(const RoundView& view);
+  void fold(const RoundSummary& s);
+
+  bool selected(MetricFold fold) const {
+    return ((folds_ >> static_cast<unsigned>(fold)) & 1) != 0;
+  }
+
+  MetricContext ctx_;
+  std::vector<MetricFold> order_;  // the selection, in order, for finish()
+  std::uint32_t folds_ = 0;        // bit f set = MetricFold f selected
+
+  std::vector<Count> deficits_;
+  std::vector<std::uint8_t> outside_;
+  RoundSummary summary_;
+  RoundTotals totals_;
+  double closeness_sum_ = 0.0;
+  ConvergenceAccumulator convergence_acc_;
+  // Sized only when a fold that uses them is selected.
+  OscillationColumns oscillation_cols_;
+  ConvergenceColumns convergence_cols_;
+};
+
+// One registered or per-task metric on its own: the same pass and fold the
+// recorder runs for a whole selection. Throws std::invalid_argument on
+// unknown names.
+std::unique_ptr<MetricSet> make_metric(const std::string& name,
+                                       const MetricContext& ctx);
 
 }  // namespace antalloc

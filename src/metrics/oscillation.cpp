@@ -1,31 +1,21 @@
 #include "metrics/oscillation.h"
 
-#include <cstdlib>
 #include <vector>
 
 namespace antalloc {
 
-void OscillationAccumulator::add(Count deficit) {
-  ++samples_;
-  const Count a = std::abs(deficit);
-  if (a > max_abs_) max_abs_ = a;
-  abs_sum_ += static_cast<double>(a);
-  sum_ += static_cast<double>(deficit);
-  const int sign = deficit > 0 ? 1 : (deficit < 0 ? -1 : 0);
-  if (sign != 0) {
-    if (prev_sign_ != 0 && sign != prev_sign_) ++zero_crossings_;
-    prev_sign_ = sign;
-  }
-}
+OscillationColumns::OscillationColumns(std::int32_t k)
+    : k_(static_cast<std::size_t>(k)), counts_(3 * k_, 0), sums_(2 * k_, 0.0) {}
 
-OscillationStats OscillationAccumulator::stats() const {
+OscillationStats OscillationColumns::stats(std::int32_t j) const {
+  const std::size_t i = static_cast<std::size_t>(j);
   OscillationStats stats;
   stats.samples = samples_;
   if (samples_ == 0) return stats;
-  stats.zero_crossings = zero_crossings_;
-  stats.max_abs_deficit = max_abs_;
-  stats.mean_abs_deficit = abs_sum_ / static_cast<double>(samples_);
-  stats.mean_deficit = sum_ / static_cast<double>(samples_);
+  stats.zero_crossings = counts_[i];
+  stats.max_abs_deficit = counts_[k_ + i];
+  stats.mean_abs_deficit = sums_[i] / static_cast<double>(samples_);
+  stats.mean_deficit = sums_[k_ + i] / static_cast<double>(samples_);
   return stats;
 }
 

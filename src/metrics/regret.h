@@ -7,15 +7,15 @@
 // MetricsRecorder accrues all four per round, counts rounds violating the
 // Theorem 3.1 deficit band 5γ·d(j)+3, applies a warmup split, and feeds the
 // optional Trace — these always-on legacy fields keep every historical
-// consumer bit-stable. On top of that it drives the SELECTED streaming
-// metric observers from the registry in metrics/metric.h (RegretBands and
-// RoundView live there): both engines emit one RoundView per round, and
-// finish() folds each observer's named scalars into SimResult's scalar map.
-// SimResult is the summary the engines hand back.
+// consumer bit-stable. The same pass drives the SELECTED streaming metrics
+// from the registry in metrics/metric.h (RegretBands, RoundView and
+// MetricSet live there): both engines emit one RoundView per round, the
+// recorder's MetricSet summarizes it in one pass over the tasks and folds
+// the summary, and finish() writes the metrics' named scalars into
+// SimResult's scalar map. SimResult is the summary the engines hand back.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -94,7 +94,7 @@ class MetricsRecorder {
     // std::invalid_argument at recorder construction.
     std::vector<std::string> names;
     // Borrowed per-round tap (metrics/metric.h): the recorder forwards every
-    // RoundView to it after the observers. Non-owning — the driver that set
+    // RoundView to it after the metrics. Non-owning — the caller that set
     // it must keep it alive through finish() and call its close(). This is
     // how the binary trace logger (io/trace_log.h) rides the engines'
     // emission without the engines knowing about files or threads. Never
@@ -103,7 +103,6 @@ class MetricsRecorder {
   };
 
   MetricsRecorder(std::int32_t num_tasks, Count n_ants, Options opts);
-  ~MetricsRecorder();
 
   // Folds one round — the engines' path: view.loads are W(j)_t, the
   // demands/active set are those in force, and view.switches the assignment
@@ -116,8 +115,7 @@ class MetricsRecorder {
  private:
   Options opts_;
   SimResult result_;
-  std::vector<Count> deficit_buf_;
-  std::vector<std::unique_ptr<Metric>> observers_;
+  MetricSet metrics_;
 };
 
 }  // namespace antalloc

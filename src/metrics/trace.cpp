@@ -5,8 +5,7 @@ namespace antalloc {
 Trace::Trace(std::int32_t num_tasks, Round stride)
     : k_(num_tasks), stride_(stride) {}
 
-void Trace::record(Round t, std::span<const Count> deficits, Count regret) {
-  if (stride_ <= 0 || t % stride_ != 0) return;
+void Trace::append(Round t, std::span<const Count> deficits, Count regret) {
   rounds_.push_back(t);
   deficits_.insert(deficits_.end(), deficits.begin(), deficits.end());
   regret_.push_back(regret);

@@ -17,7 +17,9 @@ class Trace {
   // Records every `stride`-th round; stride == 0 disables recording.
   Trace(std::int32_t num_tasks, Round stride);
 
-  void record(Round t, std::span<const Count> deficits, Count regret);
+  void record(Round t, std::span<const Count> deficits, Count regret) {
+    if (stride_ > 0 && t % stride_ == 0) append(t, deficits, regret);
+  }
 
   bool enabled() const { return stride_ > 0; }
   std::int32_t num_tasks() const { return k_; }
@@ -35,6 +37,8 @@ class Trace {
   std::vector<Count> task_series(TaskId j) const;
 
  private:
+  void append(Round t, std::span<const Count> deficits, Count regret);
+
   std::int32_t k_ = 0;
   Round stride_ = 0;
   std::vector<Round> rounds_;

@@ -133,6 +133,19 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     throw std::invalid_argument("run_campaign: replicates >= 1");
   }
   validate_shard(cfg.shard);
+  // A trace's active-task mask is one 64-bit word (io/trace_log.h): refuse
+  // a wider colony here, before any replicate runs or any file is created.
+  if (!cfg.trace_dir.empty()) {
+    for (const Scenario& scenario : cfg.scenarios) {
+      if (scenario.schedule.num_tasks() > kMaxAgentTasks) {
+        throw std::invalid_argument(
+            "run_campaign: trace_dir supports at most " +
+            std::to_string(kMaxAgentTasks) + " tasks (a trace's active mask "
+            "is one 64-bit word); scenario '" + scenario.name + "' has " +
+            std::to_string(scenario.schedule.num_tasks()));
+      }
+    }
+  }
 
   // Resolve the metric selection once: every cell runs the same observers,
   // and the flattened scalar specs fix the metric_stats/table layout.

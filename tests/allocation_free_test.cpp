@@ -1,8 +1,9 @@
 // Pins the "allocation-free round emission" property of the agent engine,
 // for every agent algorithm, and of the aggregate engine, for every
-// count-level kernel: with default metrics options (no trace) every
-// heap allocation happens during setup (reset, buffer reservation, result
-// assembly) — none per round. The proof is a global operator-new counter and two runs differing
+// count-level kernel: with no trace, under the default metric selection
+// and under every metric at once (all registered names plus both per-task
+// families), every heap allocation happens during setup (reset, buffer
+// reservation, result assembly) — none per round. The proof is a global operator-new counter and two runs differing
 // only in round count: if any per-round path allocated, the longer run
 // would count more.
 //
@@ -21,6 +22,7 @@
 #include "agent/agent_sim.h"
 #include "aggregate/aggregate_sim.h"
 #include "algo/registry.h"
+#include "metrics/metric.h"
 #include "noise/sigmoid.h"
 
 namespace {
@@ -71,9 +73,24 @@ namespace {
 
 std::uint64_t g_sink = 0;  // keeps results observable
 
+// Empty (the default set), or every registered metric plus both per-task
+// families for a k-task colony.
+std::vector<std::string> metric_selection(bool all_metrics, std::size_t k) {
+  if (!all_metrics) return {};
+  std::vector<std::string> names = metric_names();
+  names.push_back("oscillation-per-task@" + std::to_string(k));
+  names.push_back("convergence-per-task@" + std::to_string(k));
+  return names;
+}
+
+std::string metrics_suffix(bool all_metrics) {
+  return all_metrics ? "_all_metrics" : "";
+}
+
 struct AllocCase {
   std::string algo;
   SamplingMode mode;
+  bool all_metrics = false;
 };
 
 std::uint64_t allocations_for_run(const AllocCase& c, Round rounds) {
@@ -89,7 +106,9 @@ std::uint64_t allocations_for_run(const AllocCase& c, Round rounds) {
     AgentSimConfig cfg{.n_ants = 512,
                        .rounds = rounds,
                        .seed = 7,
-                       .metrics = {.gamma = 0.05},
+                       .metrics = {.gamma = 0.05,
+                                   .names = metric_selection(c.all_metrics,
+                                                             2)},
                        .sampling = c.mode};
     const auto res = run_agent_sim(*algo, fm, demands, cfg);
     g_sink += static_cast<std::uint64_t>(res.switches);
@@ -111,25 +130,33 @@ TEST_P(AllocationFree, RoundCountDoesNotChangeAllocationCount) {
   // allocated, the 300-round run would exceed the 100-round run.
   EXPECT_EQ(short_run, long_run) << "per-round heap allocations detected for "
                                  << c.algo << " in " << to_string(c.mode)
-                                 << " mode";
+                                 << " mode" << metrics_suffix(c.all_metrics);
   // Sanity: the counter is actually live.
   EXPECT_GT(short_run, 0u);
 }
 
 // Every agent algorithm on the per-ant path, plus `ant` on its batched
-// runner.
+// runner, each under both metric selections.
+std::vector<AllocCase> agent_cases() {
+  std::vector<AllocCase> cases;
+  for (const bool all_metrics : {false, true}) {
+    cases.push_back({"ant", SamplingMode::kPerAnt, all_metrics});
+    cases.push_back({"ant", SamplingMode::kBatched, all_metrics});
+    for (const char* algo :
+         {"threshold", "precise-adversarial", "precise-sigmoid", "trivial"}) {
+      cases.push_back({algo, SamplingMode::kPerAnt, all_metrics});
+    }
+  }
+  return cases;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    AgentAlgorithms, AllocationFree,
-    ::testing::Values(AllocCase{"ant", SamplingMode::kPerAnt},
-                      AllocCase{"ant", SamplingMode::kBatched},
-                      AllocCase{"threshold", SamplingMode::kPerAnt},
-                      AllocCase{"precise-adversarial", SamplingMode::kPerAnt},
-                      AllocCase{"precise-sigmoid", SamplingMode::kPerAnt},
-                      AllocCase{"trivial", SamplingMode::kPerAnt}),
+    AgentAlgorithms, AllocationFree, ::testing::ValuesIn(agent_cases()),
     [](const ::testing::TestParamInfo<AllocCase>& i) {
       std::string name = i.param.algo + "_" +
                          (i.param.mode == SamplingMode::kPerAnt ? "per_ant"
-                                                                 : "batched");
+                                                                 : "batched") +
+                         metrics_suffix(i.param.all_metrics);
       for (char& ch : name) {
         if (ch == '-') ch = '_';
       }
@@ -143,6 +170,7 @@ struct KernelCase {
   std::string algo;
   std::size_t k = 4;
   std::vector<Count> pattern;
+  bool all_metrics = false;
 };
 
 std::uint64_t kernel_allocations_for_run(const KernelCase& c, Round rounds) {
@@ -159,6 +187,7 @@ std::uint64_t kernel_allocations_for_run(const KernelCase& c, Round rounds) {
     const DemandVector demands(d);
     AggregateSimConfig cfg{.n_ants = 65'536, .rounds = rounds, .seed = 11};
     cfg.metrics.gamma = 0.05;
+    cfg.metrics.names = metric_selection(c.all_metrics, c.k);
     const auto res = run_aggregate_sim(*kernel, fm, demands, cfg);
     g_sink += static_cast<std::uint64_t>(res.switches);
   }
@@ -174,19 +203,22 @@ TEST_P(KernelAllocationFree, RoundCountDoesNotChangeAllocationCount) {
   const std::uint64_t long_run = kernel_allocations_for_run(c, 300);
   EXPECT_EQ(short_run, long_run)
       << "per-round heap allocations detected for the " << c.algo
-      << " kernel at k=" << c.k;
+      << " kernel at k=" << c.k << metrics_suffix(c.all_metrics);
   EXPECT_GT(short_run, 0u);
 }
 
 // k = 4, and k = 17 and 70, where the join marginals' lanes span several
-// vectors and their workspace is sized for many uncertain tasks.
+// vectors and their workspace is sized for many uncertain tasks; each under
+// both metric selections.
 std::vector<KernelCase> kernel_cases() {
   std::vector<KernelCase> cases;
-  for (const char* algo :
-       {"ant", "precise-sigmoid", "trivial", "sharp-threshold", "oracle"}) {
-    cases.push_back({algo, 4, {20'000, 12'000, 6'000, 40}});
-    cases.push_back({algo, 17, {6'000, 3'000, 1'200, 40}});
-    cases.push_back({algo, 70, {1'600, 800, 300, 20}});
+  for (const bool all_metrics : {false, true}) {
+    for (const char* algo :
+         {"ant", "precise-sigmoid", "trivial", "sharp-threshold", "oracle"}) {
+      cases.push_back({algo, 4, {20'000, 12'000, 6'000, 40}, all_metrics});
+      cases.push_back({algo, 17, {6'000, 3'000, 1'200, 40}, all_metrics});
+      cases.push_back({algo, 70, {1'600, 800, 300, 20}, all_metrics});
+    }
   }
   return cases;
 }
@@ -195,7 +227,8 @@ INSTANTIATE_TEST_SUITE_P(
     AggregateKernels, KernelAllocationFree,
     ::testing::ValuesIn(kernel_cases()),
     [](const ::testing::TestParamInfo<KernelCase>& i) {
-      std::string name = i.param.algo + "_k" + std::to_string(i.param.k);
+      std::string name = i.param.algo + "_k" + std::to_string(i.param.k) +
+                         metrics_suffix(i.param.all_metrics);
       for (char& ch : name) {
         if (ch == '-') ch = '_';
       }

@@ -3,7 +3,10 @@
 // threads execute the matrix.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "noise/correlated.h"
 #include "noise/sigmoid.h"
@@ -135,6 +138,45 @@ TEST(Campaign, EmptyAxesThrow) {
   cfg = small_matrix();
   cfg.replicates = 0;
   EXPECT_THROW(run_campaign(cfg), std::invalid_argument);
+}
+
+// Counts finished cells: a refused campaign must not run any.
+class CellCounter final : public CampaignProgress {
+ public:
+  void on_cell_done(const Update&) override { ++cells; }
+  int cells = 0;
+};
+
+TEST(Campaign, TraceDirRefusesMoreThan64Tasks) {
+  test_util::MatrixOptions o;
+  o.demands = std::vector<Count>(70, Count{20});
+  o.n_ants = 2000;
+  o.rounds = 20;
+  o.replicates = 1;
+  auto cfg = test_util::test_matrix(o);
+  const std::filesystem::path dir =
+      std::filesystem::path(test_util::make_temp_dir("wide")) / "traces";
+  cfg.trace_dir = dir.string();
+  CellCounter counter;
+  cfg.progress = &counter;
+  try {
+    run_campaign(cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("at most 64 tasks"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(counter.cells, 0);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+
+  // 64 tasks is the widest colony a trace holds.
+  o.demands = std::vector<Count>(64, Count{20});
+  cfg = test_util::test_matrix(o);
+  cfg.trace_dir = dir.string();
+  const CampaignResult traced = run_campaign(cfg);
+  EXPECT_EQ(traced.cells.size(), 4u);
+  EXPECT_FALSE(std::filesystem::is_empty(dir));
 }
 
 }  // namespace

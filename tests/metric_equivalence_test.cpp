@@ -3,11 +3,16 @@
 // stride-1 Trace (and, where one exists, the always-on legacy SimResult
 // field). Runs across four scenario families — constant, shock, periodic,
 // and task-churn (lifecycle) — on BOTH engines, so the RoundView emission
-// path is pinned end to end, not just the observer arithmetic.
+// path is pinned end to end, not just the observer arithmetic. The last
+// suite pins the recorder's scalars to the standalone observers'.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "metrics/convergence.h"
 #include "metrics/metric.h"
@@ -256,6 +261,98 @@ TEST(ConvergenceAccumulator, MatchesTraceScan) {
   EXPECT_EQ(streamed.last_violation, expected.last_violation);
   EXPECT_EQ(streamed.occupancy_after_entry, expected.occupancy_after_entry);
 }
+
+// The recorder and the standalone observers run one code path: for every
+// registered metric and both per-task families, the scalars a
+// MetricsRecorder emits must be bit-equal to those of make_metric(...) fed
+// the recorder's own RoundViews. k = 1, 8 and 70; per k one grey-zone run
+// (constant demands under soft sigmoid noise) and one lifecycle run
+// (task-churn; a one-task colony has no lifecycle family, so k = 1 takes
+// the single-shock schedule instead).
+
+// Copies every RoundView the recorder forwards (loads are borrowed).
+class RoundCapture final : public RoundSink {
+ public:
+  void on_round(const RoundView& view) override {
+    views_.push_back(view);
+    loads_.emplace_back(view.loads.begin(), view.loads.end());
+  }
+
+  // The captured views, their loads re-pointed at the copies.
+  std::vector<RoundView> views() const {
+    std::vector<RoundView> out = views_;
+    for (std::size_t i = 0; i < out.size(); ++i) out[i].loads = loads_[i];
+    return out;
+  }
+
+ private:
+  std::vector<RoundView> views_;
+  std::vector<std::vector<Count>> loads_;
+};
+
+class RecorderMatchesObservers
+    : public ::testing::TestWithParam<std::tuple<std::int32_t, bool>> {};
+
+TEST_P(RecorderMatchesObservers, ScalarsAreBitEqual) {
+  const auto& [k, lifecycle] = GetParam();
+  std::vector<Count> demands(static_cast<std::size_t>(k));
+  for (std::int32_t j = 0; j < k; ++j) {
+    demands[static_cast<std::size_t>(j)] = 40 + 13 * (j % 5);
+  }
+  ScenarioSpec spec;
+  spec.name = !lifecycle ? "constant" : k == 1 ? "single-shock" : "task-churn";
+  spec.initial = InitialKind::kUniform;
+  const Scenario scenario =
+      make_scenario(spec, DemandVector(demands), kRounds);
+
+  std::vector<std::string> names = metric_names();
+  names.push_back("oscillation-per-task@" + std::to_string(k));
+  names.push_back("convergence-per-task@" + std::to_string(k));
+  RoundCapture capture;
+  ExperimentConfig cfg;
+  cfg.algo = AlgoConfig{.name = "ant", .gamma = kGamma};
+  cfg.n_ants = 160 * static_cast<Count>(k);
+  cfg.rounds = kRounds;
+  cfg.seed = 5;
+  cfg.initial = scenario.initial;
+  cfg.metrics = {
+      .gamma = kGamma, .warmup = kWarmup, .names = names, .sink = &capture};
+  SigmoidFeedback fm(0.1);  // soft: most tasks sit in the grey zone
+  const SimResult r = run_experiment(cfg, fm, scenario.schedule);
+  ASSERT_EQ(r.metric_names.size(), metric_scalar_columns(names).size());
+
+  const std::vector<RoundView> views = capture.views();
+  ASSERT_EQ(views.size(), static_cast<std::size_t>(kRounds));
+  const MetricContext ctx{.num_tasks = k,
+                          .n_ants = cfg.n_ants,
+                          .gamma = kGamma,
+                          .warmup = kWarmup};
+  std::size_t column = 0;
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const auto metric = make_metric(name, ctx);
+    for (const RoundView& view : views) metric->on_round(view);
+    std::vector<std::string> scalar_names;
+    std::vector<double> values;
+    metric->finish(scalar_names, values);
+    ASSERT_EQ(values.size(), metric_scalars(name).size());
+    for (std::size_t i = 0; i < values.size(); ++i, ++column) {
+      ASSERT_EQ(scalar_names[i], r.metric_names[column]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(values[i]),
+                std::bit_cast<std::uint64_t>(r.metric_values[column]))
+          << scalar_names[i] << ": " << values[i] << " vs "
+          << r.metric_values[column];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TaskCounts, RecorderMatchesObservers,
+    ::testing::Combine(::testing::Values(1, 8, 70), ::testing::Bool()),
+    [](const auto& info) {
+      return "k" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_lifecycle" : "_grey");
+    });
 
 }  // namespace
 }  // namespace antalloc
