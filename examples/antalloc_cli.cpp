@@ -16,16 +16,16 @@
 //   ./build/examples/antalloc_cli --list-scenarios   (or --list-algos, --list-metrics)
 //
 // Sharding: --shard=i/N runs only the cells shard i owns and --out writes
-// them as a CSV/manifest pair; run all N shards (any machines, any order),
-// collect the pairs into one directory, and --merge reassembles the full
-// campaign bit-identical to an unsharded run. See docs/CAMPAIGNS.md.
+// them as shard-<i>-of-<N>.journal; run all N shards (any machines, any
+// order), collect the files into one directory, and --merge reassembles the
+// full campaign bit-identical to an unsharded run. --merge reads a fleet
+// coordinator's --journal file the same way. See docs/CAMPAIGNS.md.
 //
 // Tracing: --trace-out writes a single run's per-round stream as a binary
 // trace; --replay re-drives any metric selection over a trace from disk,
 // scalar-for-scalar bit-equal to the live run; --trace-dir persists one
-// trace per campaign replicate (the shard results.csv is then replayed from
-// them instead of held in memory). See the trace-subsystem section of
-// docs/ARCHITECTURE.md.
+// trace per campaign replicate, the source of per-replicate rows. See the
+// trace-subsystem section of docs/ARCHITECTURE.md.
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -266,13 +266,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Merge mode: reassemble a sharded campaign from a directory of shard
-  // CSV/manifest pairs. Refuses mismatched or incomplete shard sets.
+  // Merge mode: reassemble a sharded campaign from a directory of journal
+  // files. Refuses mismatched or incomplete shard sets.
   if (!merge_dir.empty()) {
-    const MergedCampaign merged = merge_campaign_dir(merge_dir);
-    std::printf("merged %lld cells from %lld shards (config %016llx)\n\n",
+    MergedCampaign merged;
+    try {
+      merged = merge_campaign_dir(merge_dir);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
+    std::printf("merged %lld cells from %lld files (config %016llx)\n\n",
                 static_cast<long long>(merged.total_cells),
-                static_cast<long long>(merged.shard_count),
+                static_cast<long long>(merged.files),
                 static_cast<unsigned long long>(merged.config_hash));
     std::printf("%s\n", merged.result.table().render().c_str());
     if (!csv_path.empty()) {
@@ -350,9 +356,17 @@ int main(int argc, char** argv) {
     // daemon submission uses (examples/job_flags.h + campaign_from_job), so
     // batch runs and daemon jobs of the same flags share their
     // campaign_config_hash and produce byte-identical rows.
-    CampaignConfig campaign = campaign_from_job(parse_job_spec(args));
+    CampaignConfig campaign;
+    try {
+      // Throws on a bad --shard, or on a family the colony shape cannot
+      // hold (task-death at k = 1).
+      campaign = campaign_from_job(parse_job_spec(args));
+      if (!shard_flag.empty()) campaign.shard = parse_shard(shard_flag);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
     campaign.trace_dir = trace_dir;
-    if (!shard_flag.empty()) campaign.shard = parse_shard(shard_flag);
     StderrCampaignProgress progress;
     if (show_progress) campaign.progress = &progress;
 
@@ -385,9 +399,14 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n", result.table().render().c_str());
     if (!out_dir.empty()) {
-      const std::string manifest =
-          write_campaign_shard(out_dir, campaign, result);
-      std::printf("[shard written: %s]\n", manifest.c_str());
+      try {
+        const std::string path =
+            write_campaign_shard(out_dir, campaign, result);
+        std::printf("[shard written: %s]\n", path.c_str());
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+      }
     }
     if (!csv_path.empty()) {
       std::ofstream out(csv_path);

@@ -1,7 +1,7 @@
 // Sharded campaign, end to end in one process: run one campaign as three
-// shards, persist each shard as the CSV/manifest pair a distributed worker
-// would upload, merge the directory, and check the merged result is
-// byte-identical to an unsharded run of the same config.
+// shards, persist each shard as the journal file a distributed worker would
+// upload (shard-<i>-of-3.journal), merge the directory, and check the merged
+// result is byte-identical to an unsharded run of the same config.
 //
 // This is the compile-checked worked example embedded in docs/CAMPAIGNS.md —
 // keep the two in sync. In production the three shard runs happen on three
@@ -43,16 +43,17 @@ int main() {
   // the same metrics - and the merged table grows their columns.
   cfg.metrics.names = {"regret", "violations", "switches", "convergence"};
 
-  // Phase 1 — each "worker" runs its shard and persists it. Cell seeds are
-  // derived from matrix coordinates, so a shard computes the same bits
-  // wherever and whenever it runs.
+  // Phase 1 — each "worker" runs its shard and persists it; a re-run
+  // replaces its file. Cell seeds are derived from matrix coordinates, so a
+  // shard computes the same bits wherever and whenever it runs.
   for (std::size_t i = 0; i < 3; ++i) {
     cfg.shard = ShardSpec{i, 3};
     write_campaign_shard("shard-demo", cfg, run_campaign(cfg));
   }
 
-  // Phase 2 — anyone holding the directory merges. The manifests carry the
-  // campaign config hash, so mixing shards of different campaigns throws.
+  // Phase 2 — anyone holding the directory merges. Each file's identity
+  // frame carries the campaign config hash, so mixing shards of different
+  // campaigns throws, and so does a missing or duplicated cell.
   const MergedCampaign merged = merge_campaign_dir("shard-demo");
   std::printf("%s\n", merged.result.table().render().c_str());
 

@@ -1,40 +1,32 @@
-// Campaign shard files: the disk form of a sharded campaign run.
+// Per-cell campaign results on disk: shard files and the coordinator
+// journal are one format, the CellJournal file.
 //
-// A shard process (run_campaign with a ShardSpec) persists its slice of the
-// matrix as a self-describing pair in an output directory:
+// A CellJournal file is a log of the wire protocol's own checksummed frames
+// (net/protocol.h):
 //
-//   shard-<i>-of-<N>.csv        one row per cell: labels + the full
-//                               RunningStats accumulator state of every
-//                               selected metric scalar (columns
-//                               "<scalar>_{count,mean,m2,min,max}", named
-//                               after the campaign's metric selection),
-//                               doubles printed with %.17g so they parse
-//                               back bit-identical;
-//   shard-<i>-of-<N>.manifest   key-value provenance: the campaign config
-//                               hash, shard coordinates, the metric
-//                               selection, row counts and an FNV-1a
-//                               checksum of each data file;
-//   shard-<i>-of-<N>.results.csv one row per replicate with the SimResult
-//                               scalar fields, final loads, and one column
-//                               per selected metric scalar. Produced when
-//                               the campaign set trace_dir (rows REPLAYED
-//                               from the binary traces, bit-equal to the
-//                               live run) or the deprecated keep_results
-//                               (rows from the in-memory results).
+//   hello            the 8-byte protocol magic and version;
+//   seq 0 Snapshot   the campaign's identity: campaign_config_hash,
+//                    cells_total, replicates and the resolved metric
+//                    selection; no cells;
+//   seq 1, 2, ...    one CellResult frame per cell (lease_id 0): labels,
+//                    engine and the full RunningStats state of every
+//                    selected metric scalar, so a merge restores the exact
+//                    Welford state of each cell.
 //
-// Format v2 (the streaming-metrics redesign): columns are named by the
-// metric selection, which is itself folded into campaign_config_hash —
-// shards computed with different metric sets can never merge. A v1
-// (pre-redesign) shard directory is rejected up front with a version
-// error, not a checksum mismatch: re-run those shards with this version.
+// Shard format v3 (antalloc-campaign-shard-v3): a shard process
+// (run_campaign with a ShardSpec) writes the cells it owns as
+// shard-<i>-of-<N>.journal. The fleet coordinator (src/orch/) appends every
+// folded cell to its --journal file as it lands. merge_campaign_dir reads
+// every *.journal in a directory, whichever of the two wrote it, and
+// reassembles the full CampaignResult bit-identical to an unsharded run of
+// the same config; campaign_shard_test pins the byte equality. A v1 or v2
+// shard directory (text rows plus a key-value .manifest) gets a version
+// error: re-run those shards with this version.
 //
-// merge_campaign_dir scans a directory for manifests, refuses anything
-// inconsistent (mismatched config hashes, wrong or duplicate shard indices,
-// missing shards, checksum failures) and reassembles the full
-// CampaignResult bit-identical to an unsharded run of the same config —
-// campaign_shard_test pins the byte-equality. The one non-round-tripped
-// field is SimResult::trace: traces are in-memory payloads (consume them in
-// the shard process, or re-run the cell locally — it is deterministic).
+// The files hold no per-replicate rows. Run the shards with trace_dir
+// (antalloc_cli --trace-dir) and replay the traces (antalloc_cli --replay,
+// replay_trace in io/trace_reader.h); a replay is bit-equal to the live
+// run.
 //
 // docs/CAMPAIGNS.md walks the end-to-end workflows (single machine, CI
 // matrix, ad-hoc cluster); the partition/seeding design is in
@@ -45,71 +37,58 @@
 #include <fstream>
 #include <string>
 
+#include "net/protocol.h"
 #include "sim/campaign.h"
 
 namespace antalloc {
 
-// Parsed manifest of one shard. File names are relative to the directory
-// the manifest lives in.
-struct ShardManifest {
-  std::uint64_t config_hash = 0;
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  std::size_t total_cells = 0;
-  std::size_t shard_cells = 0;
-  std::int64_t replicates = 1;
-  // Resolved metric family selection the shard was computed with — the key
-  // to the data files' dynamic columns.
-  std::vector<std::string> metrics;
-  bool keep_results = false;
-  std::string rows_file;
-  std::uint64_t rows_checksum = 0;  // FNV-1a over the file's bytes
-  std::string results_file;         // empty unless keep_results
-  std::uint64_t results_checksum = 0;
-};
-
-// Writes `result` (the cells cfg.shard owns) as the CSV/manifest pair into
-// `dir` (created if missing); `cfg` must be the config the shard ran —
-// write refuses a result whose cell count does not match the shard's slice
-// of cfg. Returns the manifest path. Throws std::runtime_error on I/O
-// failure, std::invalid_argument on a cfg/result mismatch.
+// Writes `result` (the cells cfg.shard owns) into `dir` (created if missing)
+// as shard-<i>-of-<N>.journal, replacing an earlier file of that name.
+// `cfg` must be the config the shard ran: write refuses a result whose cells
+// or metric selection are not cfg's slice (std::invalid_argument). Returns
+// the file's path. Throws std::runtime_error on I/O failure.
 std::string write_campaign_shard(const std::string& dir,
                                  const CampaignConfig& cfg,
                                  const CampaignResult& result);
 
-// Parses one manifest file. Throws std::runtime_error on missing keys or a
-// format line this version does not understand.
-ShardManifest read_shard_manifest(const std::string& path);
-
-// Reads one shard's cells back, verifying the data files against the
-// manifest checksums. Throws std::runtime_error on corruption.
-CampaignResult read_campaign_shard(const std::string& dir,
-                                   const ShardManifest& manifest);
-
 struct MergedCampaign {
   CampaignResult result;
   std::uint64_t config_hash = 0;
-  std::size_t shard_count = 0;
+  std::size_t files = 0;  // journal files merged
   std::size_t total_cells = 0;
 };
 
-// Scans `dir` for *.manifest files and merges the complete shard set.
-// Refuses (std::runtime_error): no manifests; manifests disagreeing on
-// config_hash, shard_count, total_cells, replicates or keep_results; a
-// shard_count other than the number of manifests, or shard_cells that do
-// not sum to total_cells (both checked before anything is sized by them);
-// duplicate shard indices; checksum mismatches. The merged result is
-// bit-identical to the unsharded run of the same config.
+// Merges every *.journal file in `dir` through an IncrementalMerger
+// (Duplicates::kReject). Never writes to the files. Refuses, with a
+// std::runtime_error naming the file or the cells: no journal files (a
+// directory of v1/v2 .manifest files gets a version error); a file
+// read_cell_journal refuses, or one that ends in a torn frame; files that
+// disagree on config hash, cells_total, replicates or metric selection;
+// flat indices in [0, cells_total) that are missing or appear more than
+// once. cells_total sizes nothing until the files' cell count equals it.
 MergedCampaign merge_campaign_dir(const std::string& dir);
 
-// CellJournal: the coordinator's resumable manifest. ------------------------
+// One CellJournal file, decoded without writing to it.
+struct JournalContents {
+  Snapshot identity;                // the seq-0 frame
+  std::vector<CampaignCell> cells;  // one per whole frame, in file order
+  std::size_t whole_bytes = 0;      // the prefix made of whole frames
+  std::size_t torn_bytes = 0;       // an incomplete final frame after it
+};
+
+// Reads the journal at `path`. Errors name the file: std::runtime_error when
+// it cannot be read or names metrics this build does not register, and the
+// frame decoder's ProtocolError subtypes otherwise — a wrong hello, a
+// checksum mismatch, or ProtocolTornPayloadError for a first frame that is
+// not a seq-0 identity Snapshot, a sequence gap, a frame that is not a
+// CellResult, or a cell that contradicts the identity (config hash, flat
+// index >= cells_total, scalar count).
+JournalContents read_cell_journal(const std::string& path);
+
+// CellJournal: the coordinator's resumable log. ------------------------------
 //
-// An append-only file of the wire protocol's own frames (net/protocol.h):
-// the 8-byte hello, a seq-0 Snapshot frame naming the campaign (config hash,
-// total cells, replicates, metric selection; no cells), then one CellResult
-// frame per folded cell, seq 1, 2, ... — the frame a worker sends, with
-// lease_id 0. Each append is flushed to the OS before append() returns, so
-// the journal survives a process crash (not a power loss: there is no
+// Appends the frames above, each flushed to the OS before append() returns,
+// so the journal survives a process crash (not a power loss: there is no
 // fsync). A coordinator that crashes and restarts opens the same path,
 // recovers every appended cell, and re-leases ONLY the missing ones —
 // together with first-completion-wins folding this makes a restart
@@ -120,9 +99,7 @@ MergedCampaign merge_campaign_dir(const std::string& dir);
 // last whole frame. Everything else is refused and the file left untouched:
 // a header naming a different campaign throws std::runtime_error (a stale
 // journal must never seed another campaign's numbers), and damage after it
-// throws the frame decoder's named ProtocolError subtype — a checksum
-// mismatch, or ProtocolTornPayloadError for a sequence gap, a frame that is
-// not a CellResult, or a cell that contradicts the campaign's shape.
+// throws read_cell_journal's named errors.
 class CellJournal {
  public:
   // Opens (or resumes) the journal at `path`. On resume the header must

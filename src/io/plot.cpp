@@ -106,24 +106,6 @@ std::string plot_series(std::span<const double> series,
   return plot_series(one, options);
 }
 
-std::string sparkline(std::span<const double> series, int width) {
-  if (series.empty()) return {};
-  static const char ramp[] = " .:-=+*#%@";
-  constexpr int levels = static_cast<int>(sizeof(ramp)) - 2;
-  const auto pts = resample(series, std::max(1, width));
-  const auto [mn, mx] = std::minmax_element(pts.begin(), pts.end());
-  const double lo = *mn;
-  const double span = std::max(1e-300, *mx - lo);
-  std::string out;
-  out.reserve(pts.size());
-  for (const double v : pts) {
-    const int level = std::clamp(
-        static_cast<int>((v - lo) / span * levels), 0, levels);
-    out += ramp[level];
-  }
-  return out;
-}
-
 std::string plot_trace_deficit(const Trace& trace, TaskId task, double gamma,
                                Count demand, const PlotOptions& base) {
   const auto counts = trace.task_series(task);

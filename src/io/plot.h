@@ -1,5 +1,4 @@
-// Terminal plotting: compact ASCII line plots and sparklines for deficit
-// traces and regret series, so examples and benches can show trajectories
+// Terminal plotting: compact ASCII line plots for deficit traces and regret series, so examples and benches can show trajectories
 // without external tooling.
 #pragma once
 
@@ -32,9 +31,6 @@ std::string plot_series(std::span<const std::vector<double>> series,
 // Single-series overload.
 std::string plot_series(std::span<const double> series,
                         const PlotOptions& options = {});
-
-// One-line unicode-free sparkline using " .:-=+*#%@" density ramp.
-std::string sparkline(std::span<const double> series, int width = 60);
 
 // Convenience: plot the deficit series of `task` from a trace, with the
 // ±(5γd+3) band drawn as guides.

@@ -56,21 +56,6 @@ std::string Table::render() const {
   return out.str();
 }
 
-std::string Table::render_markdown() const {
-  std::ostringstream out;
-  out << "|";
-  for (const auto& h : headers_) out << ' ' << h << " |";
-  out << "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) out << "---|";
-  out << '\n';
-  for (const auto& row : rows_) {
-    out << "|";
-    for (const auto& cell : row) out << ' ' << cell << " |";
-    out << '\n';
-  }
-  return out.str();
-}
-
 std::string Table::to_csv() const {
   std::ostringstream out;
   auto emit = [&](const std::vector<std::string>& cells) {

@@ -1,9 +1,9 @@
-// Aligned plain-text / markdown table writer for bench output.
+// Aligned plain-text table writer for bench output.
 //
 // Construct with the header row, add_row() free-form string cells (the
 // static fmt() helpers format numbers consistently), then render() for
-// aligned plain text, render_markdown() for GitHub-flavored markdown, or
-// to_csv() for the same data as CSV (what BenchContext mirrors to disk).
+// aligned plain text or to_csv() for the same data as CSV (what
+// BenchContext mirrors to disk).
 #pragma once
 
 #include <cstdint>
@@ -24,9 +24,8 @@ class Table {
 
   std::size_t num_rows() const { return rows_.size(); }
 
-  // Renders with aligned columns (plain) or as GitHub-flavored markdown.
+  // Renders with aligned columns.
   std::string render() const;
-  std::string render_markdown() const;
 
   // CSV view of the same data (headers + rows).
   std::string to_csv() const;

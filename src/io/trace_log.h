@@ -40,7 +40,7 @@
 // error; the destructor closes silently (call close() to observe errors —
 // run_replicated_experiment's sink path does).
 //
-// Failure discipline (mirrors campaign_io's v1-vs-v2 version error): every
+// Failure discipline (mirrors campaign_io's shard-version error): every
 // way a trace can be unreadable has a distinct, named exception — see
 // trace_reader.h. A partial read is never silent.
 #pragma once
@@ -103,8 +103,8 @@ class TraceBadMagicError : public TraceError {
 };
 
 // The file is a trace but from a different format version; the message
-// names both versions (mirror of campaign_io's shard-v1 discipline: version
-// skew is its own error, never a checksum mismatch).
+// names both versions (mirror of campaign_io's shard-version discipline:
+// version skew is its own error, never a checksum mismatch).
 class TraceVersionError : public TraceError {
  public:
   using TraceError::TraceError;
@@ -201,7 +201,7 @@ class TraceWriter final : public RoundSink {
 
 // Campaign trace naming: the per-replicate file for matrix cell
 // `flat_index`, replicate `replicate`, as written under
-// CampaignConfig::trace_dir and replayed by replay_cell_results.
+// CampaignConfig::trace_dir.
 std::string trace_file_name(std::size_t flat_index, std::int64_t replicate);
 
 }  // namespace antalloc

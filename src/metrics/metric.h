@@ -120,8 +120,8 @@ struct MetricScalar {
 // "oscillation-per-task@K" and "convergence-per-task@K" (K >= 1 the task
 // count) emit each task's statistics as separate "<scalar>.task<i>"
 // columns instead of the task-aggregated scalars. K lives in the NAME so
-// every downstream layer — campaign_config_hash, shard manifests, the wire
-// metric lists, scalar_columns — derives the column set from the name
+// every downstream layer — campaign_config_hash, shard identity frames, the
+// wire metric lists, scalar_columns — derives the column set from the name
 // alone; the factory refuses a run whose colony has a different task count.
 // The per-task values are exact decompositions of the aggregates:
 // oscillation's aggregate scalars are bit-reconstructable from the per-task

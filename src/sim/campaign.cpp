@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "io/trace_log.h"
-#include "io/trace_reader.h"
 #include "parallel/thread_pool.h"
 #include "rng/splitmix.h"
 
@@ -394,21 +393,6 @@ std::vector<std::size_t> shard_cell_indices(std::size_t total_cells,
   return indices;
 }
 
-std::vector<SimResult> replay_cell_results(
-    const std::string& trace_dir, std::size_t flat_index,
-    std::int64_t replicates, const std::vector<std::string>& metrics) {
-  const std::vector<std::string> names = resolve_metric_names(metrics);
-  std::vector<SimResult> out;
-  out.reserve(static_cast<std::size_t>(replicates));
-  for (std::int64_t r = 0; r < replicates; ++r) {
-    out.push_back(replay_trace(
-        (std::filesystem::path(trace_dir) / trace_file_name(flat_index, r))
-            .string(),
-        names));
-  }
-  return out;
-}
-
 std::uint64_t campaign_config_hash(const CampaignConfig& cfg) {
   // v2: the resolved metric selection entered the fingerprint (PR 5), so
   // shards computed with different metric sets — different columns — can
@@ -579,41 +563,6 @@ CampaignResult IncrementalMerger::take() {
   seen_ = {};
   filled_ = 0;
   return out;
-}
-
-CampaignResult merge_campaign_shards(std::vector<CampaignResult> shards,
-                                     std::size_t total_cells) {
-  std::vector<std::string> metrics;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (i == 0) {
-      metrics = shards[i].metrics;
-    } else if (shards[i].metrics != metrics) {
-      throw std::invalid_argument(
-          "merge_campaign_shards: shards were computed with different "
-          "metric selections");
-    }
-  }
-  IncrementalMerger merger(total_cells, std::move(metrics),
-                           IncrementalMerger::Duplicates::kReject);
-  // Per-replicate payloads (keep_results) ride through the merger untouched:
-  // add() moves the whole cell, results vector included.
-  for (CampaignResult& shard : shards) {
-    for (CampaignCell& cell : shard.cells) {
-      try {
-        merger.add(std::move(cell));
-      } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(std::string("merge_campaign_shards: ") +
-                                    e.what());
-      }
-    }
-  }
-  if (!merger.complete()) {
-    throw std::invalid_argument(
-        "merge_campaign_shards: incomplete shard set (" +
-        std::to_string(merger.filled()) + " of " +
-        std::to_string(total_cells) + " cells)");
-  }
-  return merger.take();
 }
 
 }  // namespace antalloc

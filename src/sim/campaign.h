@@ -26,10 +26,11 @@
 // Sharding rides on the same property: because every cell's seed comes from
 // its matrix coordinate and nothing else, a shard (ShardSpec on the config)
 // can compute its slice of the matrix on any machine and the cells come out
-// bit-identical to an unsharded run. merge_campaign_shards reassembles the
-// full CampaignResult from shard results; the disk form (CSV + manifest
-// stamped with campaign_config_hash) lives in io/campaign_io.h, and
-// docs/CAMPAIGNS.md is the user guide for the whole workflow.
+// bit-identical to an unsharded run. IncrementalMerger reassembles the full
+// CampaignResult from shard cells; the disk form (one journal of CellResult
+// frames per shard, stamped with campaign_config_hash) lives in
+// io/campaign_io.h, and docs/CAMPAIGNS.md is the user guide for the whole
+// workflow.
 #pragma once
 
 #include <atomic>
@@ -132,22 +133,19 @@ struct CampaignConfig {
   // campaign_config_hash, so shards with different metric selections refuse
   // to merge (and an explicit default list hashes like an empty one).
   MetricsRecorder::Options metrics{};
-  // DEPRECATED compatibility shim — prefer trace_dir. Keeps the full
-  // per-replicate SimResults in memory in each cell. Every distribution-
-  // level consumer (the shard results.csv, parity audits) now reads
-  // per-replicate data back from binary traces instead, which costs O(1)
-  // memory per replicate during the run and lets metrics be re-selected
-  // after the fact; this switch remains only for bespoke in-process callers
-  // that want SimResult objects without a disk round-trip.
+  // Keeps the full per-replicate SimResults in memory in each cell, for
+  // in-process callers that want SimResult objects without a disk round
+  // trip. Shard files never carry them: persist per-replicate data with
+  // trace_dir instead, which costs O(1) memory per replicate during the run
+  // and lets metrics be re-selected after the fact.
   bool keep_results = false;
   // When non-empty: persist every replicate's per-round stream as a binary
   // trace (io/trace_log.h) named trace_file_name(flat_index, replicate)
   // under this directory (created if missing), stamped with this campaign's
-  // campaign_config_hash. write_campaign_shard then produces the
-  // per-replicate results.csv by REPLAYING these traces — bit-equal to the
-  // live run's results — so keep_results is no longer needed for it.
-  // Excluded from campaign_config_hash, like the shard spec and pool: a
-  // trace tap must not change any number.
+  // campaign_config_hash. Replaying a trace (io/trace_reader.h) gives the
+  // replicate's results bit-equal to the live run's. Excluded from
+  // campaign_config_hash, like the shard spec and pool: a trace tap must
+  // not change any number.
   std::string trace_dir;
   // Common random numbers across the noise axis: cells differing only in
   // noise reuse the same per-replicate seeds, so noise sweeps (rho, the
@@ -265,22 +263,12 @@ std::vector<std::size_t> shard_cell_indices(std::size_t total_cells,
 // distinct names). Two shard files merge only if their hashes agree.
 std::uint64_t campaign_config_hash(const CampaignConfig& cfg);
 
-// Replays cell `flat_index`'s per-replicate traces (written by a
-// run_campaign with trace_dir set) back into SimResults, metric scalars
-// bit-equal to the live run's. `metrics` is the selection to re-drive
-// (empty = registry default) — it may differ from the one the campaign ran,
-// which is the point: traces let you measure after the fact. Throws the
-// TraceError subtypes from io/trace_log.h on missing or damaged files.
-std::vector<SimResult> replay_cell_results(
-    const std::string& trace_dir, std::size_t flat_index,
-    std::int64_t replicates, const std::vector<std::string>& metrics = {});
-
-// Incremental per-cell merge: the accumulator-reassembly half of
-// merge_campaign_shards exposed one cell at a time, so a consumer (the
-// fleet coordinator, src/orch/coordinator.h) can fold cells the moment they
-// land instead of waiting for whole shard directories. Slot-based like the
-// batch merge: each cell drops into slots_[flat_index], and take() hands
-// back the full matrix in flat order — bit-identical to the unsharded run.
+// Per-cell merge: each cell drops into slots_[flat_index] the moment it
+// lands (the fleet coordinator, src/orch/coordinator.h, folds as results
+// arrive; merge_campaign_dir folds shard files), and take() hands back the
+// full matrix in flat order — bit-identical to the unsharded run.
+// Per-replicate payloads (keep_results) ride along: add() moves the whole
+// cell.
 //
 // Duplicate policy is explicit because retry makes duplicates NORMAL in a
 // fleet (a straggler finishing after its lease was reissued) but a BUG in a
@@ -324,14 +312,5 @@ class IncrementalMerger {
   std::size_t n_scalars_ = 0;
   Duplicates duplicates_ = Duplicates::kReject;
 };
-
-// Reassembles the full matrix from per-shard results (cells carry their
-// flat_index). Requires the union of cell indices to be exactly
-// {0, …, total_cells-1} with no duplicates; throws std::invalid_argument
-// otherwise. The output is bit-identical to what the unsharded run_campaign
-// would have produced, including per-replicate results when keep_results
-// was on. (Implemented on IncrementalMerger with Duplicates::kReject.)
-CampaignResult merge_campaign_shards(std::vector<CampaignResult> shards,
-                                     std::size_t total_cells);
 
 }  // namespace antalloc

@@ -1,7 +1,7 @@
 // Metric selection through the campaign stack: dynamic per-scalar columns,
 // the metric list in the config hash (shards with different selections
-// refuse to merge), the v2 shard disk round trip with custom metrics, and
-// the clear version error on pre-redesign (v1) shard directories.
+// refuse to merge), the v3 shard disk round trip with custom metrics, and
+// the clear version error on v1 and v2 shard directories.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -107,12 +107,8 @@ TEST(CampaignMetrics, HashFoldsResolvedSelection) {
 
 TEST(CampaignMetrics, CustomSelectionShardRoundTripBitIdentical) {
   const std::string dir = make_temp_dir("roundtrip");
-  // regret-split included deliberately: its scalars share names with the
-  // legacy SimResult fields, so this pins that the results CSV keeps the
-  // two column families distinct.
   auto cfg = metric_matrix({"regret", "switches", "regret-split",
                             "convergence", "oscillation"});
-  cfg.keep_results = true;
   const CampaignResult full = run_campaign(cfg);
 
   for (std::size_t i = 0; i < 3; ++i) {
@@ -133,20 +129,13 @@ TEST(CampaignMetrics, CustomSelectionShardRoundTripBitIdentical) {
     for (std::size_t si = 0; si < x.metric_stats.size(); ++si) {
       expect_stats_identical(x.metric_stats[si], y.metric_stats[si]);
     }
-    // Per-replicate scalar maps round-trip through the results CSV.
-    ASSERT_EQ(x.results.size(), y.results.size());
-    for (std::size_t r = 0; r < x.results.size(); ++r) {
-      EXPECT_EQ(x.results[r].metric_names, y.results[r].metric_names);
-      EXPECT_EQ(x.results[r].metric_values, y.results[r].metric_values);
-      EXPECT_EQ(x.results[r].final_loads, y.results[r].final_loads);
-    }
   }
   EXPECT_EQ(merged.result.to_csv(), full.to_csv());
 
-  // The manifest records the selection.
-  const ShardManifest manifest = read_shard_manifest(
-      (fs::path(dir) / "shard-0-of-3.manifest").string());
-  EXPECT_EQ(manifest.metrics, full.metrics);
+  // Each file's identity frame records the selection.
+  const JournalContents shard0 =
+      read_cell_journal((fs::path(dir) / "shard-0-of-3.journal").string());
+  EXPECT_EQ(shard0.identity.metrics, full.metrics);
   fs::remove_all(dir);
 }
 
@@ -161,42 +150,61 @@ TEST(CampaignMetrics, MergeRefusesMixedMetricSelections) {
   write_campaign_shard(dir, b, run_campaign(b));
 
   // Different metric lists -> different config hashes -> refused.
-  EXPECT_THROW(merge_campaign_dir(dir), std::runtime_error);
+  try {
+    merge_campaign_dir(dir);
+    ADD_FAILURE() << "merge accepted mixed metric selections";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("config hash"), std::string::npos)
+        << e.what();
+  }
 
-  // And the in-memory merge refuses too.
-  std::vector<CampaignResult> shards;
-  a.shard = {0, 2};
-  b.shard = {1, 2};
-  shards.push_back(run_campaign(a));
-  shards.push_back(run_campaign(b));
-  EXPECT_THROW(
-      merge_campaign_shards(std::move(shards), campaign_total_cells(a)),
-      std::invalid_argument);
-  fs::remove_all(dir);
-}
-
-TEST(CampaignMetrics, PreRedesignShardDirectoryGetsVersionError) {
-  const std::string dir = make_temp_dir("v1");
+  // Files that agree on the hash but not on the selection are refused too,
+  // naming the selection: b's cells relabelled as a's campaign.
+  fs::remove(fs::path(dir) / "shard-1-of-2.journal");
   {
-    std::ofstream manifest(fs::path(dir) / "shard-0-of-1.manifest");
-    manifest << "format antalloc-campaign-shard-v1\n"
-             << "config_hash 00000000deadbeef\n"
-             << "shard_index 0\n"
-             << "shard_count 1\n";
+    const CampaignResult cells = run_campaign(b);
+    CellJournal journal((fs::path(dir) / "shard-1-of-2.journal").string(),
+                        campaign_config_hash(a), cells.metrics,
+                        campaign_total_cells(b), b.replicates);
+    for (const CampaignCell& cell : cells.cells) journal.append(cell);
   }
   try {
     merge_campaign_dir(dir);
-    FAIL() << "expected std::runtime_error";
+    ADD_FAILURE() << "merge accepted mixed metric selections";
   } catch (const std::runtime_error& e) {
-    const std::string message = e.what();
-    // A version error naming both formats — NOT a checksum mismatch.
-    EXPECT_NE(message.find("antalloc-campaign-shard-v1"), std::string::npos)
-        << message;
-    EXPECT_NE(message.find("antalloc-campaign-shard-v2"), std::string::npos)
-        << message;
-    EXPECT_EQ(message.find("checksum"), std::string::npos) << message;
+    EXPECT_NE(std::string(e.what()).find("metric selection"),
+              std::string::npos)
+        << e.what();
   }
   fs::remove_all(dir);
+}
+
+TEST(CampaignMetrics, TextShardDirectoryGetsVersionError) {
+  for (const std::string version : {"v1", "v2"}) {
+    SCOPED_TRACE(version);
+    const std::string dir = make_temp_dir(version);
+    {
+      std::ofstream manifest(fs::path(dir) / "shard-0-of-1.manifest");
+      manifest << "format antalloc-campaign-shard-" << version << "\n"
+               << "config_hash 00000000deadbeef\n"
+               << "shard_index 0\n"
+               << "shard_count 1\n";
+    }
+    try {
+      merge_campaign_dir(dir);
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      // A version error naming both formats — NOT a checksum mismatch.
+      EXPECT_NE(message.find("antalloc-campaign-shard-" + version),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("antalloc-campaign-shard-v3"), std::string::npos)
+          << message;
+      EXPECT_EQ(message.find("checksum"), std::string::npos) << message;
+    }
+    fs::remove_all(dir);
+  }
 }
 
 TEST(CampaignMetrics, WriteRefusesResultFromDifferentSelection) {

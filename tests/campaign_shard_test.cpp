@@ -1,13 +1,14 @@
 // Campaign sharding: the partition function's disjoint-union contract, the
 // load-bearing bit-identity of merged shards vs the unsharded run (in memory
-// and through the CSV/manifest disk round trip), and the merge's refusal of
-// mismatched, incomplete or corrupted shard sets.
+// and through the journal-file disk round trip), and the merge's refusal of
+// mismatched, incomplete, duplicated, torn or corrupted shard sets with an
+// error that names the file or the cells.
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "io/campaign_io.h"
 #include "sim/campaign.h"
@@ -23,12 +24,16 @@ using test_util::make_temp_dir;
 using test_util::shard_matrix;
 
 CampaignResult run_all_shards_merged(CampaignConfig cfg, std::size_t count) {
-  std::vector<CampaignResult> shards;
+  IncrementalMerger merger(campaign_total_cells(cfg),
+                           resolve_metric_names(cfg.metrics.names),
+                           IncrementalMerger::Duplicates::kReject);
   for (std::size_t i = 0; i < count; ++i) {
     cfg.shard = {i, count};
-    shards.push_back(run_campaign(cfg));
+    for (CampaignCell& cell : run_campaign(cfg).cells) {
+      merger.add(std::move(cell));
+    }
   }
-  return merge_campaign_shards(std::move(shards), campaign_total_cells(cfg));
+  return merger.take();
 }
 
 // Every selected scalar of two cells, every RunningStats::State word.
@@ -150,20 +155,17 @@ TEST(CampaignShard, MergedShardsBitIdenticalToUnsharded) {
 
 TEST(CampaignShard, MergeRejectsIncompleteOrDuplicateCells) {
   auto cfg = shard_matrix();
-  std::vector<CampaignResult> shards;
   cfg.shard = {0, 3};
-  shards.push_back(run_campaign(cfg));
+  const CampaignResult shard0 = run_campaign(cfg);
+  IncrementalMerger merger(campaign_total_cells(cfg),
+                           resolve_metric_names(cfg.metrics.names),
+                           IncrementalMerger::Duplicates::kReject);
+  for (const CampaignCell& cell : shard0.cells) merger.add(cell);
   // Missing shards 1 and 2.
-  EXPECT_THROW(merge_campaign_shards(std::move(shards),
-                                     campaign_total_cells(cfg)),
-               std::invalid_argument);
-
-  shards.clear();
-  shards.push_back(run_campaign(cfg));
-  shards.push_back(run_campaign(cfg));  // shard 0 twice
-  EXPECT_THROW(merge_campaign_shards(std::move(shards),
-                                     campaign_total_cells(cfg)),
-               std::invalid_argument);
+  EXPECT_FALSE(merger.complete());
+  EXPECT_THROW(merger.take(), std::invalid_argument);
+  // Shard 0 twice.
+  EXPECT_THROW(merger.add(shard0.cells[0]), std::invalid_argument);
 }
 
 TEST(ConfigHash, SensitiveToResultsAffectingFieldsOnly) {
@@ -204,7 +206,6 @@ TEST(ConfigHash, SensitiveToResultsAffectingFieldsOnly) {
 TEST(CampaignShardIo, DiskRoundTripBitIdentical) {
   const std::string dir = make_temp_dir("roundtrip");
   auto cfg = shard_matrix();
-  cfg.keep_results = true;
   const CampaignResult full = run_campaign(cfg);
 
   for (std::size_t i = 0; i < 3; ++i) {
@@ -213,25 +214,93 @@ TEST(CampaignShardIo, DiskRoundTripBitIdentical) {
   }
 
   const MergedCampaign merged = merge_campaign_dir(dir);
-  EXPECT_EQ(merged.shard_count, 3u);
+  EXPECT_EQ(merged.files, 3u);
   EXPECT_EQ(merged.total_cells, 6u);
   cfg.shard = {};
   EXPECT_EQ(merged.config_hash, campaign_config_hash(cfg));
-  expect_bit_identical(merged.result, full, /*compare_results=*/true);
+  expect_bit_identical(merged.result, full, /*compare_results=*/false);
   fs::remove_all(dir);
 }
 
-TEST(CampaignShardIo, ManifestDescribesTheShard) {
-  const std::string dir = make_temp_dir("manifest");
+TEST(CampaignShardIo, JournalDescribesTheShard) {
+  const std::string dir = make_temp_dir("identity");
   auto cfg = shard_matrix();
   cfg.shard = {1, 5};  // ragged: owns flat index 1 only
   const std::string path = write_campaign_shard(dir, cfg, run_campaign(cfg));
-  const ShardManifest m = read_shard_manifest(path);
-  EXPECT_EQ(m.shard_index, 1u);
-  EXPECT_EQ(m.shard_count, 5u);
-  EXPECT_EQ(m.total_cells, 6u);
-  EXPECT_EQ(m.shard_cells, 1u);  // flat index 1 only (1 + 5 = 6 is past the end)
+  EXPECT_EQ(fs::path(path).filename(), "shard-1-of-5.journal");
+  const JournalContents file = read_cell_journal(path);
+  EXPECT_EQ(file.identity.config_hash, campaign_config_hash(cfg));
+  EXPECT_EQ(file.identity.cells_total, 6u);
+  EXPECT_EQ(file.identity.replicates, cfg.replicates);
+  EXPECT_EQ(file.identity.metrics, resolve_metric_names({}));
+  ASSERT_EQ(file.cells.size(), 1u);  // 1 + 5 = 6 is past the end
+  EXPECT_EQ(file.cells[0].flat_index, 1u);
+  EXPECT_EQ(file.torn_bytes, 0u);
+  EXPECT_EQ(file.whole_bytes, fs::file_size(path));
   fs::remove_all(dir);
+}
+
+TEST(CampaignShardIo, RerunReplacesTheShardFile) {
+  const std::string dir = make_temp_dir("rerun");
+  auto cfg = shard_matrix();
+  cfg.shard = {0, 2};
+  const CampaignResult shard0 = run_campaign(cfg);
+  const std::string path = write_campaign_shard(dir, cfg, shard0);
+  const std::string first = test_util::read_file_bytes(path);
+  EXPECT_EQ(write_campaign_shard(dir, cfg, shard0), path);
+  EXPECT_EQ(test_util::read_file_bytes(path), first);
+  cfg.shard = {1, 2};
+  write_campaign_shard(dir, cfg, run_campaign(cfg));
+  EXPECT_EQ(merge_campaign_dir(dir).result.cells.size(), 6u);
+  fs::remove_all(dir);
+}
+
+// A fleet coordinator appends cells in completion order; a copy of its
+// journal merges like a set of shard files.
+TEST(CampaignShardIo, CoordinatorJournalMergesToTheSameBytes) {
+  const std::string dir = make_temp_dir("coordinator");
+  const auto cfg = shard_matrix();
+  const CampaignResult full = run_campaign(cfg);
+  {
+    CellJournal journal((fs::path(dir) / "fleet.journal").string(),
+                        campaign_config_hash(cfg), full.metrics,
+                        full.cells.size(), cfg.replicates);
+    for (const std::size_t flat : {4u, 0u, 5u, 2u, 1u, 3u}) {
+      journal.append(full.cells[flat]);
+    }
+  }
+  const MergedCampaign merged = merge_campaign_dir(dir);
+  EXPECT_EQ(merged.files, 1u);
+  EXPECT_EQ(merged.result.to_csv(), full.to_csv());
+  fs::remove_all(dir);
+}
+
+// Asserts merge_campaign_dir refuses `dir` with a std::runtime_error whose
+// message holds every one of `parts` (not a std::bad_alloc from sizing by a
+// hostile value, and not a crash).
+void expect_merge_refused_naming(const std::string& dir,
+                                 const std::vector<std::string>& parts) {
+  try {
+    merge_campaign_dir(dir);
+    ADD_FAILURE() << "merge accepted " << dir;
+  } catch (const std::runtime_error& e) {
+    for (const std::string& part : parts) {
+      EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
+          << "'" << part << "' missing from: " << e.what();
+    }
+  }
+}
+
+// Writes shards 0 and 1 of 2 into `dir` and returns their paths.
+std::vector<std::string> write_two_shards(const std::string& dir) {
+  auto cfg = shard_matrix();
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < 2; ++i) {
+    cfg.shard = {i, 2};
+    paths.push_back(write_campaign_shard(dir, cfg, run_campaign(cfg)));
+  }
+  EXPECT_NO_THROW(merge_campaign_dir(dir));
+  return paths;
 }
 
 TEST(CampaignShardIo, RejectsShardFromDifferentConfig) {
@@ -245,86 +314,88 @@ TEST(CampaignShardIo, RejectsShardFromDifferentConfig) {
   other.shard = {1, 2};
   write_campaign_shard(dir, other, run_campaign(other));
 
-  EXPECT_THROW(merge_campaign_dir(dir), std::runtime_error);
+  expect_merge_refused_naming(dir, {"shard-1-of-2.journal", "config hash"});
   fs::remove_all(dir);
 }
 
-TEST(CampaignShardIo, RejectsMissingShardAndCorruptedRows) {
+TEST(CampaignShardIo, MissingFileNamesTheMissingCells) {
   const std::string dir = make_temp_dir("missing");
-  auto cfg = shard_matrix();
-  cfg.shard = {0, 2};
-  const std::string manifest_path =
-      write_campaign_shard(dir, cfg, run_campaign(cfg));
-  // Shard 1 of 2 was never produced.
-  EXPECT_THROW(merge_campaign_dir(dir), std::runtime_error);
-
-  cfg.shard = {1, 2};
-  write_campaign_shard(dir, cfg, run_campaign(cfg));
-  EXPECT_NO_THROW(merge_campaign_dir(dir));
-
-  // Corrupt one data file: the checksum in the manifest must catch it.
-  const ShardManifest m = read_shard_manifest(manifest_path);
-  std::ofstream tamper(fs::path(dir) / m.rows_file, std::ios::app);
-  tamper << "tampered\n";
-  tamper.close();
-  EXPECT_THROW(merge_campaign_dir(dir), std::runtime_error);
+  const std::vector<std::string> paths = write_two_shards(dir);
+  fs::remove(paths[1]);  // shard 1 of 2 owns the odd cells
+  expect_merge_refused_naming(dir, {"3 of 6 cells", "missing cells 1, 3, 5"});
   fs::remove_all(dir);
 }
 
-// Rewrites the value of one "key value" line in every manifest of `dir`, so
-// the shard set stays self-consistent on every other field.
-void set_manifest_key(const std::string& dir, const std::string& key,
-                      const std::string& value) {
+TEST(CampaignShardIo, CellDuplicatedAcrossFilesIsNamed) {
+  const std::string dir = make_temp_dir("duplicate");
+  const std::vector<std::string> paths = write_two_shards(dir);
+  fs::copy_file(paths[0], fs::path(dir) / "copy.journal");
+  expect_merge_refused_naming(
+      dir, {"duplicated", "0 (copy.journal, shard-0-of-2.journal)"});
+  fs::remove_all(dir);
+}
+
+TEST(CampaignShardIo, FlippedByteIsRefusedNamingTheFile) {
+  const std::string dir = make_temp_dir("flip");
+  const std::vector<std::string> paths = write_two_shards(dir);
+  std::string bytes = test_util::read_file_bytes(paths[0]);
+  bytes[bytes.size() - 20] ^= 0x10;  // inside the last cell frame
+  test_util::write_file_bytes(paths[0], bytes);
+  EXPECT_THROW(read_cell_journal(paths[0]), ProtocolChecksumError);
+  expect_merge_refused_naming(dir, {paths[0], "checksum"});
+  fs::remove_all(dir);
+}
+
+// The merge reads; it never cuts a torn tail the way a resuming coordinator
+// does.
+TEST(CampaignShardIo, TornTailIsRefusedAndLeftUntouched) {
+  const std::string dir = make_temp_dir("torn");
+  const std::vector<std::string> paths = write_two_shards(dir);
+  const std::string bytes = test_util::read_file_bytes(paths[1]);
+  const std::string torn = bytes.substr(0, bytes.size() - 5);
+  test_util::write_file_bytes(paths[1], torn);
+  expect_merge_refused_naming(dir, {paths[1], "torn"});
+  EXPECT_EQ(test_util::read_file_bytes(paths[1]), torn);
+  fs::remove_all(dir);
+}
+
+// Rewrites every journal of `dir` with its identity passed through `edit`
+// (cells unchanged), as a well-formed, checksum-valid file.
+template <typename Edit>
+void rewrite_identity(const std::string& dir, Edit edit) {
   for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() != ".manifest") continue;
-    std::ifstream in(entry.path());
-    std::string line;
-    std::string out;
-    while (std::getline(in, line)) {
-      if (line.rfind(key + " ", 0) == 0) line = key + " " + value;
-      out += line + "\n";
-    }
-    in.close();
-    std::ofstream(entry.path(), std::ios::trunc) << out;
+    const std::string path = entry.path().string();
+    JournalContents file = read_cell_journal(path);
+    edit(file.identity);
+    fs::remove(path);
+    CellJournal journal(path, file.identity.config_hash,
+                        file.identity.metrics, file.identity.cells_total,
+                        file.identity.replicates);
+    for (const CampaignCell& cell : file.cells) journal.append(cell);
   }
 }
 
-// Asserts merge_campaign_dir refuses `dir` with a std::runtime_error whose
-// message names `field` (not a std::bad_alloc from sizing by a hostile
-// value).
-void expect_merge_refused_naming(const std::string& dir,
-                                 const std::string& field) {
-  try {
-    merge_campaign_dir(dir);
-    ADD_FAILURE() << "merge accepted a manifest with a hostile " << field;
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-        << e.what();
-  }
-}
-
-void write_two_shards(const std::string& dir) {
-  auto cfg = shard_matrix();
-  for (std::size_t i = 0; i < 2; ++i) {
-    cfg.shard = {i, 2};
-    write_campaign_shard(dir, cfg, run_campaign(cfg));
-  }
-  ASSERT_NO_THROW(merge_campaign_dir(dir));
-}
-
-TEST(CampaignShardIo, HostileShardCountRefusedBeforeAllocating) {
-  const std::string dir = make_temp_dir("hostile_count");
-  write_two_shards(dir);
-  set_manifest_key(dir, "shard_count", "4611686018427387904");
-  expect_merge_refused_naming(dir, "shard_count");
-  fs::remove_all(dir);
-}
-
-TEST(CampaignShardIo, HostileTotalCellsRefusedBeforeAllocating) {
+TEST(CampaignShardIo, HostileCellsTotalRefusedBeforeAllocating) {
   const std::string dir = make_temp_dir("hostile_total");
   write_two_shards(dir);
-  set_manifest_key(dir, "total_cells", "4611686018427387904");
-  expect_merge_refused_naming(dir, "total_cells");
+  rewrite_identity(dir, [](Snapshot& id) {
+    id.cells_total = std::uint64_t{1} << 62;
+  });
+  expect_merge_refused_naming(
+      dir, {"6 of 4611686018427387904 cells",
+            "missing cells 6..4611686018427387903"});
+  fs::remove_all(dir);
+}
+
+TEST(CampaignShardIo, DisagreeingShapeIsRefusedNamingBothFiles) {
+  const std::string dir = make_temp_dir("shape");
+  const std::vector<std::string> paths = write_two_shards(dir);
+  fs::remove(paths[0]);
+  rewrite_identity(dir, [](Snapshot& id) { ++id.replicates; });
+  auto cfg = shard_matrix();
+  cfg.shard = {0, 2};
+  write_campaign_shard(dir, cfg, run_campaign(cfg));
+  expect_merge_refused_naming(dir, {paths[1], paths[0], "replicates"});
   fs::remove_all(dir);
 }
 

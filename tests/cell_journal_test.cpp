@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -58,15 +56,8 @@ std::vector<std::uint8_t> wire(const CampaignCell& cell) {
   return encode_payload(Message{MetricDelta{.cell = cell_update_from(cell)}});
 }
 
-std::string read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-void write_bytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
-}
+using test_util::read_file_bytes;
+using test_util::write_file_bytes;
 
 CellJournal open_journal(const std::string& path) {
   return CellJournal(path, kHash, metrics(), kTotalCells, kReplicates);
@@ -84,13 +75,13 @@ Written write_journal(const std::string& path, std::size_t cells) {
   {
     CellJournal journal = open_journal(path);
     EXPECT_TRUE(journal.recovered().empty());
-    w.header = read_bytes(path);
+    w.header = read_file_bytes(path);
     for (std::size_t i = 0; i < cells; ++i) {
       journal.append(sample_cell(i));
       w.ends.push_back(static_cast<std::size_t>(fs::file_size(path)));
     }
   }
-  w.bytes = read_bytes(path);
+  w.bytes = read_file_bytes(path);
   return w;
 }
 
@@ -143,19 +134,19 @@ TEST(CellJournal, EveryCutInsideTheFinalFrameDropsOnlyThatFrame) {
   ASSERT_GT(w.ends[2] - last_whole, kFrameHeaderBytes + kFrameChecksumBytes);
   // cut == last_whole is a clean resume: nothing to drop.
   for (std::size_t cut = last_whole; cut < w.ends[2]; ++cut) {
-    write_bytes(path, w.bytes.substr(0, cut));
+    write_file_bytes(path, w.bytes.substr(0, cut));
     {
       CellJournal journal = open_journal(path);
       expect_recovers_first(journal, 2);
     }
-    EXPECT_EQ(read_bytes(path), w.bytes.substr(0, last_whole)) << cut;
+    EXPECT_EQ(read_file_bytes(path), w.bytes.substr(0, last_whole)) << cut;
   }
   // The trimmed journal takes the recomputed cell at the seq it lost.
   {
     CellJournal journal = open_journal(path);
     journal.append(sample_cell(2));
   }
-  EXPECT_EQ(read_bytes(path), w.bytes);
+  EXPECT_EQ(read_file_bytes(path), w.bytes);
 }
 
 TEST(CellJournal, FlippedByteInAnEarlierFrameThrowsChecksumError) {
@@ -163,9 +154,9 @@ TEST(CellJournal, FlippedByteInAnEarlierFrameThrowsChecksumError) {
   const Written w = write_journal(path, 3);
   std::string damaged = w.bytes;
   damaged[w.header.size() + kFrameHeaderBytes + 3] ^= 0x10;  // frame 1 body
-  write_bytes(path, damaged);
+  write_file_bytes(path, damaged);
   EXPECT_THROW(open_journal(path), ProtocolChecksumError);
-  EXPECT_EQ(read_bytes(path), damaged);
+  EXPECT_EQ(read_file_bytes(path), damaged);
 }
 
 TEST(CellJournal, AnotherCampaignsJournalIsRefusedUntouched) {
@@ -184,7 +175,7 @@ TEST(CellJournal, AnotherCampaignsJournalIsRefusedUntouched) {
   EXPECT_THROW(CellJournal(path, kHash, metrics(), kTotalCells,
                            kReplicates + 1),
                std::runtime_error);
-  EXPECT_EQ(read_bytes(path), w.bytes);
+  EXPECT_EQ(read_file_bytes(path), w.bytes);
 }
 
 TEST(CellJournal, TextJournalFromAnOlderVersionIsRefusedUntouched) {
@@ -197,9 +188,9 @@ TEST(CellJournal, TextJournalFromAnOlderVersionIsRefusedUntouched) {
       "metrics regret\n"
       "cell,scenario,algo,noise,engine\n"
       "0,constant,ant,exact,agent\n";
-  write_bytes(path, text);
+  write_file_bytes(path, text);
   EXPECT_THROW(open_journal(path), std::runtime_error);
-  EXPECT_EQ(read_bytes(path), text);
+  EXPECT_EQ(read_file_bytes(path), text);
 }
 
 // Checksum-valid frames that contradict the journal: each is refused as a
@@ -225,9 +216,9 @@ TEST(CellJournal, FramesContradictingTheCampaignThrowTornPayload) {
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const std::string bytes =
         header + std::string(frames[i].begin(), frames[i].end());
-    write_bytes(path, bytes);
+    write_file_bytes(path, bytes);
     EXPECT_THROW(open_journal(path), ProtocolTornPayloadError) << i;
-    EXPECT_EQ(read_bytes(path), bytes) << i;
+    EXPECT_EQ(read_file_bytes(path), bytes) << i;
   }
 }
 

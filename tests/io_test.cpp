@@ -22,15 +22,6 @@ TEST(Table, RenderAligned) {
   EXPECT_NE(out.find("---"), std::string::npos);
 }
 
-TEST(Table, Markdown) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  const std::string md = t.render_markdown();
-  EXPECT_NE(md.find("| a | b |"), std::string::npos);
-  EXPECT_NE(md.find("|---|---|"), std::string::npos);
-  EXPECT_NE(md.find("| 1 | 2 |"), std::string::npos);
-}
-
 TEST(Table, CsvEscaping) {
   Table t({"x"});
   t.add_row({"with,comma"});

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -333,6 +334,13 @@ TEST(OrchFleet, JournalResumeReleasesOnlyMissingCells) {
     EXPECT_EQ(server.stats().cells_recovered, offline.cells.size());
     ASSERT_TRUE(server.wait_done());
     EXPECT_EQ(server.result().to_csv(), offline.to_csv());
+  }
+
+  // The journal is a shard file too: a copy merges to the same bytes.
+  {
+    const std::string copy = test_util::make_temp_dir("orch_journal_copy");
+    std::filesystem::copy_file(journal, copy + "/fleet.journal");
+    EXPECT_EQ(merge_campaign_dir(copy).result.to_csv(), offline.to_csv());
   }
 
   // A journal must never seed a DIFFERENT campaign: same path, new seed.

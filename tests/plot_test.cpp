@@ -50,19 +50,6 @@ TEST(Plot, EmptyInputRejected) {
   EXPECT_THROW(plot_series(std::span<const double>{}), std::invalid_argument);
 }
 
-TEST(Sparkline, MonotoneRampProducesOrderedDensity) {
-  std::vector<double> ramp;
-  for (int i = 0; i < 60; ++i) ramp.push_back(static_cast<double>(i));
-  const std::string line = sparkline(ramp, 30);
-  EXPECT_EQ(line.size(), 30u);
-  EXPECT_EQ(line.front(), ' ');
-  EXPECT_EQ(line.back(), '@');
-}
-
-TEST(Sparkline, EmptyInputGivesEmptyString) {
-  EXPECT_TRUE(sparkline(std::span<const double>{}).empty());
-}
-
 TEST(Plot, TraceDeficitIncludesBandGuides) {
   Trace trace(1, 1);
   for (Round t = 1; t <= 40; ++t) {

@@ -18,6 +18,8 @@
 #include <cerrno>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <span>
@@ -140,6 +142,17 @@ inline std::string make_temp_dir(const std::string& tag) {
   std::filesystem::create_directories(dir);
   created.dirs.push_back(dir);
   return dir.string();
+}
+
+// A file's bytes, and a whole-file overwrite: for tests that damage files.
+inline std::string read_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+inline void write_file_bytes(const std::string& path,
+                             const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 // Bit-level equality of two Welford accumulators — the "no number changed"

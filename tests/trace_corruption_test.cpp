@@ -1,6 +1,6 @@
 // Corruption battery: every distinct way a trace file can be damaged must
 // surface as its own named TraceError subtype — never a wrong number, never
-// a generic failure, and (mirroring campaign_io's shard-v1 discipline)
+// a generic failure, and (mirroring campaign_io's shard-version discipline)
 // never the WRONG named error: version skew is TraceVersionError even
 // though it also breaks the checksum, an unterminated-writer sentinel is
 // TraceTruncatedError even though the bytes may checksum clean. The tests
