@@ -95,9 +95,8 @@ ShardSpec parse_shard(const std::string& s) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+// The whole CLI; main turns a usage error anywhere in it into exit 2.
+int run_cli(int argc, char** argv) {
   Args args(argc, argv);
   const std::string algo_name = args.get_string("algo", "ant");
   const std::string engine_name = args.get_string("engine", "auto");
@@ -109,13 +108,7 @@ int main(int argc, char** argv) {
   const DemandVector demands = uniform_demands(k, demand);
   // Noise flags + learning-rate defaulting, shared with antalloc_client
   // submit (examples/job_flags.h) so both paths resolve identical configs.
-  NoiseFlags noise_flags;
-  try {
-    noise_flags = parse_noise_flags(args, demands);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  const NoiseFlags noise_flags = parse_noise_flags(args, demands);
   const double gamma = noise_flags.gamma;
   const double epsilon = noise_flags.epsilon;
   const Round rounds = args.get_int("rounds", 8000);
@@ -356,16 +349,8 @@ int main(int argc, char** argv) {
     // daemon submission uses (examples/job_flags.h + campaign_from_job), so
     // batch runs and daemon jobs of the same flags share their
     // campaign_config_hash and produce byte-identical rows.
-    CampaignConfig campaign;
-    try {
-      // Throws on a bad --shard, or on a family the colony shape cannot
-      // hold (task-death at k = 1).
-      campaign = campaign_from_job(parse_job_spec(args));
-      if (!shard_flag.empty()) campaign.shard = parse_shard(shard_flag);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
+    CampaignConfig campaign = campaign_from_job(parse_job_spec(args));
+    if (!shard_flag.empty()) campaign.shard = parse_shard(shard_flag);
     campaign.trace_dir = trace_dir;
     StderrCampaignProgress progress;
     if (show_progress) campaign.progress = &progress;
@@ -390,13 +375,7 @@ int main(int argc, char** argv) {
                       campaign_config_hash(campaign)));
     }
     std::printf("\n");
-    CampaignResult result;
-    try {
-      result = run_campaign(campaign);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
+    const CampaignResult result = run_campaign(campaign);
     std::printf("%s\n", result.table().render().c_str());
     if (!out_dir.empty()) {
       try {
@@ -503,4 +482,18 @@ int main(int argc, char** argv) {
                 plot_trace_deficit(res.trace, 0, gamma, demands[0]).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+// Every bad flag, flag combination or campaign shape is rejected with a
+// std::invalid_argument; it ends the run with its message and exit code 2,
+// never an abort.
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

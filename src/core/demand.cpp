@@ -32,28 +32,6 @@ DemandVector uniform_demands(std::int32_t k, Count demand) {
   return DemandVector(std::vector<Count>(static_cast<std::size_t>(k), demand));
 }
 
-DemandVector random_demands(std::int32_t k, Count lo, Count hi,
-                            std::uint64_t seed) {
-  if (lo > hi) throw std::invalid_argument("random_demands: lo > hi");
-  rng::Xoshiro256 gen(seed);
-  std::vector<Count> d(static_cast<std::size_t>(k));
-  for (auto& v : d) {
-    v = lo + static_cast<Count>(
-                 gen.uniform_below(static_cast<std::uint64_t>(hi - lo + 1)));
-  }
-  return DemandVector(std::move(d));
-}
-
-DemandVector geometric_demands(std::int32_t k, Count base, double ratio) {
-  std::vector<Count> d(static_cast<std::size_t>(k));
-  double value = static_cast<double>(base);
-  for (auto& v : d) {
-    v = std::max<Count>(1, static_cast<Count>(std::llround(value)));
-    value *= ratio;
-  }
-  return DemandVector(std::move(d));
-}
-
 ActiveSet ActiveSet::all(std::int32_t k) {
   if (k <= 0) throw std::invalid_argument("ActiveSet: k > 0");
   return ActiveSet(std::vector<std::uint8_t>(static_cast<std::size_t>(k), 1));

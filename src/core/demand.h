@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/types.h"
-#include "rng/xoshiro.h"
 
 namespace antalloc {
 
@@ -41,14 +40,6 @@ class DemandVector {
 
 // k equal demands of size `demand`.
 DemandVector uniform_demands(std::int32_t k, Count demand);
-
-// k demands drawn uniformly from [lo, hi] (inclusive), reproducible by seed.
-DemandVector random_demands(std::int32_t k, Count lo, Count hi,
-                            std::uint64_t seed);
-
-// Geometric ladder d(j) = base * ratio^j, rounded; exercises heterogeneous
-// demands where grey zones differ per task.
-DemandVector geometric_demands(std::int32_t k, Count base, double ratio);
 
 // Which tasks exist during a schedule segment. The task-count capacity
 // k_max is fixed when the schedule is built; birth and death toggle

@@ -33,11 +33,4 @@ std::vector<SimResult> run_sim_trials(
   return results;
 }
 
-RunningStats run_and_summarize(
-    std::int64_t replicates, std::uint64_t base_seed,
-    const std::function<double(std::int64_t, std::uint64_t)>& trial) {
-  const auto values = run_trials(replicates, base_seed, trial);
-  return summarize(values);
-}
-
 }  // namespace antalloc

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "metrics/regret.h"
-#include "stats/summary.h"
 
 namespace antalloc {
 
@@ -30,10 +29,5 @@ std::vector<SimResult> run_sim_trials(
     std::int64_t replicates, std::uint64_t base_seed,
     const std::function<SimResult(std::int64_t, std::uint64_t)>& trial,
     ThreadPool* pool = nullptr);
-
-// Convenience: run trials and summarize a scalar extracted from each result.
-RunningStats run_and_summarize(
-    std::int64_t replicates, std::uint64_t base_seed,
-    const std::function<double(std::int64_t, std::uint64_t)>& trial);
 
 }  // namespace antalloc

@@ -52,3 +52,12 @@ expect_usage_error("merge of a v2 manifest directory"
   --merge=${WORK_DIR}/v2)
 expect_usage_error("merge with one shard file removed" "missing cells 1$"
   --merge=${WORK_DIR}/partial)
+expect_usage_error("unknown engine" "unknown engine 'bogus'"
+  --engine=bogus ${small})
+expect_usage_error("shard index past the shard count" "index < count"
+  --campaign=true --scenarios=constant --algos=ant --k=2 ${small}
+  --shard=5/3)
+expect_usage_error("shard flags without a campaign" "require --campaign=true"
+  --shard=0/2 ${small})
+expect_usage_error("unknown flag" "unknown flag --no-such-flag"
+  --no-such-flag=1 ${small})

@@ -42,28 +42,6 @@ TEST(DemandFactories, Uniform) {
   EXPECT_EQ(d.max_demand(), 50);
 }
 
-TEST(DemandFactories, RandomInRangeAndReproducible) {
-  const auto a = random_demands(16, 10, 20, 7);
-  const auto b = random_demands(16, 10, 20, 7);
-  const auto c = random_demands(16, 10, 20, 8);
-  for (TaskId j = 0; j < 16; ++j) {
-    EXPECT_GE(a[j], 10);
-    EXPECT_LE(a[j], 20);
-    EXPECT_EQ(a[j], b[j]);
-  }
-  bool any_diff = false;
-  for (TaskId j = 0; j < 16; ++j) any_diff |= (a[j] != c[j]);
-  EXPECT_TRUE(any_diff);
-}
-
-TEST(DemandFactories, GeometricLadder) {
-  const auto d = geometric_demands(4, 100, 2.0);
-  EXPECT_EQ(d[0], 100);
-  EXPECT_EQ(d[1], 200);
-  EXPECT_EQ(d[2], 400);
-  EXPECT_EQ(d[3], 800);
-}
-
 TEST(DemandSchedule, ConstantSchedule) {
   const DemandSchedule s(uniform_demands(2, 10));
   EXPECT_TRUE(s.is_constant());

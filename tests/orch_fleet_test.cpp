@@ -6,9 +6,11 @@
 // mid-lease, or straggled past their deadlines. Also pins the journal
 // resume path (a restarted coordinator re-leases only the missing cells),
 // the coordinator's reply codes on bad traffic, and — against a scripted
-// coordinator — how a worker handles a revoked lease.
+// coordinator — when a worker asks for its next lease and how it handles a
+// revoked one, alone or next to a second lease in flight.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -277,6 +279,161 @@ TEST(OrchFleet, RevokedLeaseStopsTheWorkerAndItAsksForFreshWork) {
   EXPECT_EQ(worker->report->leases_completed, 0u);
   EXPECT_EQ(worker->report->cells_shipped, shipped);
   EXPECT_FALSE(worker->report->died);
+}
+
+// The 16 single-replicate cells of the scripted-coordinator tests: 8
+// families x 2 algorithms, each cell long enough (200k rounds) that a frame
+// sent over loopback when it starts arrives long before it folds.
+JobSpec long_cells_job() {
+  JobSpec job = fleet_job();
+  job.scenarios = {"constant",   "single-shock", "staircase",
+                   "day-night",  "ramp-drift",   "seasonal",
+                   "task-birth", "task-churn"};
+  job.replicates = 1;
+  job.rounds = 200'000;
+  return job;
+}
+
+TEST(OrchFleet, SmallLeaseAsksForTheNextBeforeItShips) {
+  // One cell of one replicate is fewer tasks than twice the pool's width, so
+  // the worker must ask for its next lease as soon as the first one starts,
+  // not after it ships.
+  JobSpec job = fleet_job();
+  job.replicates = 1;
+  const CampaignConfig cfg = campaign_from_job(job);
+
+  ThreadPool pool(2);
+  std::optional<WorkerThread> worker;
+  test_util::WireListener listener;
+  worker.emplace(listener.port(), WorkerOptions{.name = "w", .pool = &pool});
+  test_util::WirePeer coordinator = listener.accept();
+  ASSERT_TRUE(std::holds_alternative<LeaseRequest>(coordinator.recv()));
+  coordinator.send(Message{LeaseGrant{.lease_id = 1,
+                                      .config_hash = campaign_config_hash(cfg),
+                                      .first_cell = 0,
+                                      .cell_count = 1,
+                                      .deadline_ms = 60'000,
+                                      .job = job}});
+
+  ASSERT_TRUE(std::holds_alternative<LeaseRequest>(coordinator.recv()));
+  const Message shipped = coordinator.recv();
+  ASSERT_TRUE(std::holds_alternative<CellResult>(shipped));
+  EXPECT_EQ(std::get<CellResult>(shipped).lease_id, 1u);
+  coordinator.send(Message{LeaseGrant{.done = 1, .job = {}}});
+
+  worker->join();
+  EXPECT_EQ(worker->error, "");
+  ASSERT_TRUE(worker->report.has_value());
+  EXPECT_EQ(worker->report->leases_completed, 1u);
+  EXPECT_EQ(worker->report->leases_revoked, 0u);
+  EXPECT_EQ(worker->report->cells_shipped, 1u);
+}
+
+TEST(OrchFleet, RevokingOneOfTwoLeasesStopsOnlyThatLease) {
+  // A scripted coordinator hands the worker two leases, then revokes the
+  // first. The first stops at its next replicate boundary; the second runs
+  // to the end and ships every cell.
+  const JobSpec job = long_cells_job();
+  const CampaignConfig cfg = campaign_from_job(job);
+  const std::uint64_t hash = campaign_config_hash(cfg);
+
+  // On a 2-wide pool a 3-cell lease is 3 tasks, fewer than 4: the worker
+  // asks for a second lease while the first runs.
+  ThreadPool pool(2);
+  std::optional<WorkerThread> worker;
+  test_util::WireListener listener;
+  worker.emplace(listener.port(), WorkerOptions{.name = "w", .pool = &pool});
+  test_util::WirePeer coordinator = listener.accept();
+  ASSERT_TRUE(std::holds_alternative<LeaseRequest>(coordinator.recv()));
+  coordinator.send(Message{LeaseGrant{.lease_id = 1,
+                                      .config_hash = hash,
+                                      .first_cell = 0,
+                                      .cell_count = 3,
+                                      .deadline_ms = 60'000,
+                                      .job = job}});
+  ASSERT_TRUE(std::holds_alternative<LeaseRequest>(coordinator.recv()));
+  coordinator.send(Message{LeaseGrant{.lease_id = 2,
+                                      .config_hash = hash,
+                                      .first_cell = 3,
+                                      .cell_count = 2,
+                                      .deadline_ms = 60'000,
+                                      .job = job}});
+  coordinator.send(Message{LeaseRevoked{.lease_id = 1,
+                                        .reason = "straggler"}});
+
+  // The revoked lease frees its lane, so the worker asks again; that
+  // request is answered with done while the second lease still runs.
+  std::vector<std::uint64_t> kept_cells;
+  std::size_t revoked_cells = 0;
+  bool answered = false;
+  while (!answered || kept_cells.size() < 2) {
+    const Message m = coordinator.recv();
+    if (const auto* res = std::get_if<CellResult>(&m)) {
+      if (res->lease_id == 2) {
+        kept_cells.push_back(res->cell.flat_index);
+      } else {
+        EXPECT_EQ(res->lease_id, 1u);
+        ++revoked_cells;
+      }
+    } else {
+      ASSERT_TRUE(std::holds_alternative<LeaseRequest>(m));
+      ASSERT_FALSE(answered);
+      coordinator.send(Message{LeaseGrant{.done = 1, .job = {}}});
+      answered = true;
+    }
+  }
+
+  worker->join();
+  EXPECT_EQ(worker->error, "");
+  ASSERT_TRUE(worker->report.has_value());
+  EXPECT_EQ(worker->report->leases_revoked, 1u);
+  EXPECT_EQ(worker->report->leases_completed, 1u);
+  EXPECT_EQ(worker->report->cells_shipped, revoked_cells + 2);
+  EXPECT_LT(revoked_cells, 3u);  // the revocation cut the first lease short
+  std::sort(kept_cells.begin(), kept_cells.end());
+  EXPECT_EQ(kept_cells, (std::vector<std::uint64_t>{3, 4}));
+}
+
+TEST(OrchFleet, WorkerDyingWithTwoLeasesReleasesThemAndMergesExact) {
+  // A worker on a 3-wide pool holds two leases when it ships its first cell
+  // and dies. At one cell per lease, that cell finishes its own lease and
+  // the other lease is released; at two cells per lease, both leases still
+  // hold an unshipped cell and both are released. Either way a rescuer
+  // finishes the campaign to the offline bytes.
+  JobSpec job = fleet_job();
+  job.rounds = 100'000;  // a cell outlasts the second lease's round trip
+  const CampaignResult offline = run_campaign(campaign_from_job(job));
+
+  for (const std::size_t cells_per_lease : {1u, 2u}) {
+    SCOPED_TRACE(cells_per_lease);
+    const std::uint64_t released = cells_per_lease == 1 ? 1 : 2;
+    CoordinatorServer server(fleet_opts(job, cells_per_lease));
+    server.start();
+
+    ThreadPool pool(3);
+    WorkerThread dying(server.port(), WorkerOptions{.name = "dying",
+                                                    .fail_after_cells = 1,
+                                                    .pool = &pool});
+    dying.join();
+    ASSERT_TRUE(dying.report.has_value()) << dying.error;
+    EXPECT_TRUE(dying.report->died);
+    EXPECT_EQ(dying.report->cells_shipped, 1u);
+    // The disconnect is handled on the coordinator's poll thread.
+    for (int i = 0; i < 2000 && server.stats().leases_released < released;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(server.stats().leases_granted, 2u);
+    EXPECT_EQ(server.stats().leases_released, released);
+
+    WorkerThread rescuer(server.port(), WorkerOptions{.name = "rescuer"});
+    ASSERT_TRUE(server.wait_done()) << server.error();
+    rescuer.join();
+    EXPECT_EQ(rescuer.error, "");
+    EXPECT_EQ(server.result().to_csv(), offline.to_csv());
+    EXPECT_EQ(server.stats().cells_folded, offline.cells.size());
+    server.stop();
+  }
 }
 
 TEST(OrchFleet, JournalResumeReleasesOnlyMissingCells) {

@@ -78,14 +78,5 @@ TEST(TrialRunner, SeedsDifferAcrossTrials) {
   }
 }
 
-TEST(TrialRunner, SummarizeMatchesValues) {
-  const auto stats = run_and_summarize(
-      100, 3, [](std::int64_t i, std::uint64_t) {
-        return static_cast<double>(i);
-      });
-  EXPECT_EQ(stats.count(), 100);
-  EXPECT_DOUBLE_EQ(stats.mean(), 49.5);
-}
-
 }  // namespace
 }  // namespace antalloc
